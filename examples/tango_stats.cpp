@@ -11,17 +11,8 @@
 // writes the full snapshot in both exporter formats to
 // tango_stats_snapshot.prom / tango_stats_snapshot.json (stem overridable
 // via argv[1]) — the same artifacts CI uploads from the chaos soak.
-//
-// --shards=N runs the WAN on the sharded engine (transit routers round-robin
-// over shards 1..N-1) and adds a per-shard utilization/stall table: events
-// executed, busy time against wall time, park spins (the stall proxy), and
-// cross-shard mailbox traffic.  Scheduler and WAN counters then carry a
-// shard="i" label in the snapshot.
-#include <array>
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <functional>
 #include <string>
 
 #include "core/pairing.hpp"
@@ -75,47 +66,17 @@ void print_path_table(sim::Wan& wan, core::TangoNode& ny,
   std::printf("\n");
 }
 
-/// The operator's shard view: how evenly the work spreads and how much time
-/// each shard spends parked waiting for its neighbors' frontiers.
-void print_shard_table(sim::Wan& wan, double wall_seconds) {
-  std::printf("shard utilization (%u shards, %.2fs wall):\n", wan.shard_count(), wall_seconds);
-  std::printf("  %-6s %10s %9s %7s %12s %10s %9s\n", "shard", "events", "busy ms", "util%",
-              "park spins", "mail out", "barriers");
-  for (std::uint32_t i = 0; i < wan.shard_count(); ++i) {
-    const sim::ShardEngine::Stats st = wan.shard_stats(i);
-    std::printf("  %-6u %10llu %9.1f %6.1f%% %12llu %10llu %9llu\n", i,
-                static_cast<unsigned long long>(wan.shard_executed(i)), 1e3 * st.busy_seconds,
-                wall_seconds > 0 ? 100.0 * st.busy_seconds / wall_seconds : 0.0,
-                static_cast<unsigned long long>(st.park_spins),
-                static_cast<unsigned long long>(st.mail_posted),
-                static_cast<unsigned long long>(st.barriers));
-  }
-  std::printf("\n");
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string stem = "tango_stats_snapshot";
-  std::uint32_t shards = 0;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--shards=", 9) == 0) {
-      shards = static_cast<std::uint32_t>(std::strtoul(argv[i] + 9, nullptr, 10));
-    } else {
-      stem = argv[i];
-    }
-  }
+  const std::string stem = argc > 1 ? argv[1] : "tango_stats_snapshot";
 
   telemetry::MetricsRegistry registry;
   telemetry::PacketTracer tracer;
   tracer.enable_sampled(64);  // 1/64 lifecycles: the always-on production rate
 
   topo::VultrScenario s = topo::make_vultr_scenario();
-  static constexpr std::array<bgp::RouterId, 7> kInterior{kNtt,    kTelia,   kGtt,    kCogent,
-                                                          kLevel3, kVultrLa, kVultrNy};
-  sim::Wan wan{s.topo, sim::Rng{7},
-               sim::WanOptions{.sharded = shards > 0,
-                               .plan = sim::ShardPlan::round_robin(shards, kInterior)}};
+  sim::Wan wan{s.topo, sim::Rng{7}};
   const telemetry::Observability obs{.metrics = &registry, .tracer = &tracer};
   core::TangoNode la{s.topo, wan,
                      core::NodeConfig{.router = kServerLa,
@@ -158,16 +119,11 @@ int main(int argc, char** argv) {
   };
   wan.events().schedule_in(10 * sim::kSecond, table);
 
-  const auto wall_start = std::chrono::steady_clock::now();
   wan.run_until(90 * sim::kSecond);
   pairing.stop();
   ny.stop_probing();
   la.stop_probing();
   wan.run_all();
-  const double wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start).count();
-
-  if (wan.sharded()) print_shard_table(wan, wall_seconds);
 
   std::printf("headline counters:\n");
   for (const telemetry::MetricEntry& e : registry.entries()) {

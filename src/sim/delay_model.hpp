@@ -109,7 +109,6 @@ class CompositeDelayModel {
   /// Drops modifiers whose window has fully passed.
   void prune(Time now);
 
-  [[nodiscard]] const DelayModel& base() const noexcept { return *base_; }
   [[nodiscard]] std::size_t modifier_count() const noexcept { return modifiers_.size(); }
 
  private:

@@ -6,31 +6,11 @@ namespace tango::sim {
 
 void EventQueue::schedule_at(Time at, Action action) {
   if (at < now_) throw std::invalid_argument{"EventQueue: scheduling into the past"};
-  if (observer_ != nullptr) observer_(observer_ctx_, at);
   if (backend_ == Backend::timing_wheel) {
     wheel_.schedule(at, next_seq_++, std::move(action));
   } else {
     heap_.push(Entry{at, next_seq_++, std::move(action)});
   }
-}
-
-void EventQueue::schedule_keyed(Time at, std::uint64_t key, Action action) {
-  if (at < now_) throw std::invalid_argument{"EventQueue: scheduling into the past"};
-  ++keyed_scheduled_;
-  if (backend_ == Backend::timing_wheel) {
-    wheel_.schedule(at, key, std::move(action));
-  } else {
-    heap_.push(Entry{at, key, std::move(action)});
-  }
-}
-
-std::optional<Time> EventQueue::peek_time() {
-  if (backend_ == Backend::timing_wheel) {
-    if (wheel_.empty()) return std::nullopt;
-    return wheel_.peek();
-  }
-  if (heap_.empty()) return std::nullopt;
-  return heap_.top().at;
 }
 
 void EventQueue::run_wheel(Time until) {
@@ -69,29 +49,6 @@ void EventQueue::run_until(Time until) {
   telemetry::set(pending_gauge_, static_cast<std::int64_t>(pending()));
 }
 
-void EventQueue::run_events_until(Time until) {
-  const std::uint64_t before = executed_;
-  if (backend_ == Backend::timing_wheel) {
-    while (true) {
-      TimingWheel::Popped e = wheel_.pop(until);
-      if (!e.valid) break;
-      now_ = e.at;
-      ++executed_;
-      e.action();
-    }
-  } else {
-    while (!heap_.empty() && heap_.top().at <= until) {
-      Entry e{heap_.top().at, heap_.top().seq, std::move(const_cast<Entry&>(heap_.top()).action)};
-      heap_.pop();
-      now_ = e.at;
-      ++executed_;
-      e.action();
-    }
-  }
-  telemetry::inc(executed_metric_, executed_ - before);
-  telemetry::set(pending_gauge_, static_cast<std::int64_t>(pending()));
-}
-
 void EventQueue::run_all() {
   // Like run_until(+inf), except the clock rests at the last executed event
   // instead of being parked at the bound.
@@ -118,18 +75,17 @@ void EventQueue::run_all() {
   telemetry::set(pending_gauge_, static_cast<std::int64_t>(pending()));
 }
 
-void EventQueue::wire_metrics(telemetry::MetricsRegistry& registry,
-                              const telemetry::Labels& extra) {
-  executed_metric_ = &registry.counter("tango_sched_executed_total", extra,
-                                       "Events executed by the scheduler");
+void EventQueue::wire_metrics(telemetry::MetricsRegistry& registry) {
+  executed_metric_ =
+      &registry.counter("tango_sched_executed_total", {}, "Events executed by the scheduler");
   pending_gauge_ =
-      &registry.gauge("tango_sched_pending", extra, "Events pending in the scheduler");
+      &registry.gauge("tango_sched_pending", {}, "Events pending in the scheduler");
   wheel_.wire_metrics(
-      &registry.counter("tango_sched_far_spills_total", extra,
+      &registry.counter("tango_sched_far_spills_total", {},
                         "Events scheduled beyond the wheel span, spilled to the overflow heap"),
-      &registry.counter("tango_sched_cascades_total", extra,
+      &registry.counter("tango_sched_cascades_total", {},
                         "Bucket cascades while advancing the timing wheel"),
-      &registry.histogram("tango_sched_batch_events", extra,
+      &registry.histogram("tango_sched_batch_events", {},
                           "Events per staged same-timestamp wheel batch (slot occupancy)"));
 }
 

@@ -2,7 +2,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <queue>
 #include <stdexcept>
 #include <vector>
@@ -44,26 +43,9 @@ class EventQueue {
   /// Schedules `action` after `delay` from now.
   void schedule_in(Time delay, Action action) { schedule_at(now_ + delay, std::move(action)); }
 
-  /// Schedules `action` at `at` with a caller-provided same-timestamp
-  /// ordering key instead of the internal FIFO counter.  The sharded engine
-  /// uses this to give cross-shard packet arrivals a tie-break that is a
-  /// pure function of logical history ((link, transmit seq) — bit 63 set so
-  /// arrivals sort after same-time control events), independent of which
-  /// thread delivered the message first.  Keys must be unique per (at, key)
-  /// within one queue; FIFO events keep their counter (< 2^63) and so always
-  /// run before keyed arrivals at the same timestamp.
-  void schedule_keyed(Time at, std::uint64_t key, Action action);
-
   /// Runs events until the queue is empty or the next event is after
   /// `until`; the clock then rests exactly at `until`.
   void run_until(Time until);
-
-  /// Like run_until, but the clock rests at the last executed event instead
-  /// of being parked at the bound.  The sharded engine's per-shard advance:
-  /// a shard's conservative window may reach far past its last local event,
-  /// and parking the clock there would reject later (legal) cross-shard
-  /// arrivals as scheduling into the past.
-  void run_events_until(Time until);
 
   /// Runs until the queue drains completely.
   void run_all();
@@ -77,33 +59,13 @@ class EventQueue {
   [[nodiscard]] bool empty() const noexcept { return pending() == 0; }
   [[nodiscard]] std::uint64_t executed() const noexcept { return executed_; }
   /// Total schedule calls (scheduler-throughput accounting).
-  [[nodiscard]] std::uint64_t scheduled() const noexcept { return next_seq_ + keyed_scheduled_; }
-
-  /// Timestamp of the earliest pending event, or nullopt when empty.  May
-  /// advance wheel internals (order-preserving); used by the sharded engine
-  /// to publish a shard's frontier.
-  [[nodiscard]] std::optional<Time> peek_time();
-
-  /// Called on every plain (FIFO) schedule_at.  The sharded engine installs
-  /// this on the control shard's queue: plain-scheduled events there are by
-  /// convention control events (scenario faults, switch timers, anything
-  /// that may mutate global state), and the engine fences each one behind a
-  /// global barrier.  Keyed schedules (packet arrivals, traffic injections)
-  /// do not trigger it.  Nullptr disables (classic mode: zero overhead
-  /// beyond one predictable branch).
-  using ScheduleObserver = void (*)(void* ctx, Time at);
-  void set_schedule_observer(ScheduleObserver fn, void* ctx) noexcept {
-    observer_ = fn;
-    observer_ctx_ = ctx;
-  }
+  [[nodiscard]] std::uint64_t scheduled() const noexcept { return next_seq_; }
 
   /// Registers the scheduler's instruments (executed counter, pending gauge,
   /// wheel slot occupancy and overflow-heap spills) and resolves their raw
   /// pointers.  The pending gauge is refreshed when a run loop returns — not
   /// per event — so instrumentation stays off the dispatch hot path.
-  /// `extra` labels distinguish per-shard queues (single-writer instruments
-  /// must not be shared across shard threads).
-  void wire_metrics(telemetry::MetricsRegistry& registry, const telemetry::Labels& extra = {});
+  void wire_metrics(telemetry::MetricsRegistry& registry);
 
  private:
   struct Entry {
@@ -125,12 +87,9 @@ class EventQueue {
   std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
   Time now_ = 0;
   std::uint64_t next_seq_ = 0;
-  std::uint64_t keyed_scheduled_ = 0;
   std::uint64_t executed_ = 0;
   telemetry::Counter* executed_metric_ = nullptr;
   telemetry::Gauge* pending_gauge_ = nullptr;
-  ScheduleObserver observer_ = nullptr;
-  void* observer_ctx_ = nullptr;
 };
 
 }  // namespace tango::sim

@@ -194,19 +194,6 @@ std::int64_t TimingWheel::find_next(Time limit) {
   }
 }
 
-Time TimingWheel::peek() {
-  if (staging_next_ < staging_.size()) {
-    Time best = staging_[staging_next_].at;
-    if (!far_.empty() && far_.top().at < best) best = far_.top().at;
-    return best;
-  }
-  const std::int64_t tick = find_next(std::numeric_limits<Time>::max());
-  if (tick < 0) return far_.top().at;  // wheel empty: caller guarantees !empty()
-  Time best = static_cast<Time>(tick);
-  if (!far_.empty() && far_.top().at < best) best = far_.top().at;
-  return best;
-}
-
 TimingWheel::Popped TimingWheel::pop(Time limit) {
   Popped out;
   // The staged bucket (single timestamp, seq-sorted) is the wheel's front.

@@ -67,10 +67,6 @@ class TimingWheel {
   /// Removes and returns the earliest (at, seq) event with at <= limit.
   [[nodiscard]] Popped pop(Time limit);
 
-  /// Time of the earliest pending event without popping it; only valid when
-  /// !empty().  May cascade internally (order-preserving).
-  [[nodiscard]] Time peek();
-
   void clear();
 
   [[nodiscard]] std::size_t size() const noexcept { return size_; }

@@ -28,7 +28,6 @@
 
 #include <array>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -36,8 +35,6 @@
 #include "net/prefix_trie.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/link.hpp"
-#include "sim/shard_engine.hpp"
-#include "sim/shard_plan.hpp"
 #include "telemetry/observability.hpp"
 #include "topo/topology.hpp"
 
@@ -55,22 +52,11 @@ namespace tango::sim {
 /// tests/sim/test_fib_sync.cpp gate on digest equality).
 enum class FibSync : std::uint8_t { incremental, full_rebuild };
 
-/// Construction-time configuration of the WAN engine.
-///
-/// `sharded = false` (classic) is bit-for-bit the original single-threaded
-/// engine: one queue, plain FIFO same-timestamp order.  `sharded = true`
-/// partitions routers across `plan.shards` event engines under conservative
-/// synchronization (see shard_engine.hpp); same-timestamp order becomes the
-/// banded rule control < injection < arrival, identical at every shard count
-/// — so digests are compared sharded-1 vs sharded-N, with sharded-1 as the
-/// baseline.  `threaded` selects OS threads per shard; cooperative
-/// round-robin otherwise (identical results either way).
+/// Construction-time configuration of the WAN engine: one event queue with
+/// FIFO same-timestamp order, on the chosen scheduler backend, and the FIB
+/// sync mode.
 struct WanOptions {
   EventQueue::Backend backend = EventQueue::Backend::timing_wheel;
-  bool sharded = false;
-  ShardPlan plan;
-  bool threaded = false;
-  std::size_t mailbox_capacity = 1024;
   FibSync fib_sync = FibSync::incremental;
 };
 
@@ -110,16 +96,7 @@ class Wan {
   Wan(topo::Topology& topo, Rng rng,
       EventQueue::Backend backend = EventQueue::Backend::timing_wheel);
 
-  /// Full-options constructor; the sharded engine lives behind
-  /// `options.sharded` (see WanOptions).  Sharded-mode conventions:
-  ///   * routers with delivery handlers that touch shared state, and every
-  ///     plain schedule_at on events() (scenario faults, switch timers),
-  ///     belong to shard 0 — plain-scheduled events are control events,
-  ///     fenced behind a global barrier;
-  ///   * raw handlers on other shards must touch only that shard's state;
-  ///   * sync_fibs()/link()/topology() mutations are legal from the driver
-  ///     between runs and from control events, never from other shards;
-  ///   * the tracer and hop observer see shard-0 traffic only.
+  /// Full-options constructor (scheduler backend and FIB sync mode).
   Wan(topo::Topology& topo, Rng rng, const WanOptions& options);
 
   /// Brings every router's FIB in sync with the BGP Loc-RIBs and invalidates
@@ -145,7 +122,6 @@ class Wan {
   };
   [[nodiscard]] const FibSyncStats& fib_sync_stats() const noexcept { return fib_stats_; }
 
-  void set_fib_sync_mode(FibSync mode) noexcept { fib_sync_mode_ = mode; }
   [[nodiscard]] FibSync fib_sync_mode() const noexcept { return fib_sync_mode_; }
 
   /// Deterministic digest over every router's FIB contents (router id,
@@ -174,43 +150,16 @@ class Wan {
   void send_burst_from(bgp::RouterId id, std::vector<net::Packet>&& burst);
 
   /// An empty burst vector, drawn from the recycle pool when available.
-  /// Burst vectors recycle on the shard of the router they were sent from;
-  /// the no-argument form draws from shard 0.
-  [[nodiscard]] std::vector<net::Packet> acquire_burst() { return acquire_burst(0); }
-  [[nodiscard]] std::vector<net::Packet> acquire_burst(std::uint32_t shard);
+  [[nodiscard]] std::vector<net::Packet> acquire_burst();
 
-  /// Shard 0's scheduler.  In sharded mode, plain schedule_at here marks a
-  /// control event (global barrier); prefer run_all()/run_until() over
-  /// events().run_* so both modes drive the right engine.
-  [[nodiscard]] EventQueue& events() noexcept { return shards_[0]->events; }
-  [[nodiscard]] Time now() const noexcept { return shards_[0]->events.now(); }
+  /// The scheduler every hop, fault and timer runs on.
+  [[nodiscard]] EventQueue& events() noexcept { return events_; }
+  [[nodiscard]] Time now() const noexcept { return events_.now(); }
 
-  /// Runs the engine dry (classic: events().run_all(); sharded: to global
-  /// quiescence across every shard).
-  void run_all();
-  /// Advances every shard to exactly `until`.
-  void run_until(Time until);
-
-  /// Schedules `action` at absolute time `at` on `router`'s shard with an
-  /// injection-band key: ordered after same-timestamp control events and
-  /// before packet arrivals, identically at every shard count.  Legal from
-  /// the driver while the engine is idle and from events of that same shard.
-  /// Classic mode falls back to a plain FIFO schedule.
-  void schedule_on(bgp::RouterId router, Time at, EventQueue::Action action);
-
-  [[nodiscard]] std::uint32_t shard_count() const noexcept {
-    return static_cast<std::uint32_t>(shards_.size());
-  }
-  [[nodiscard]] bool sharded() const noexcept { return engine_ != nullptr; }
-  [[nodiscard]] std::uint32_t shard_of(bgp::RouterId router) const noexcept;
-  /// Events executed by one shard's scheduler.
-  [[nodiscard]] std::uint64_t shard_executed(std::uint32_t shard) const noexcept {
-    return shards_[shard]->events.executed();
-  }
-  /// Engine synchronization stats for one shard (zeros in classic mode).
-  [[nodiscard]] ShardEngine::Stats shard_stats(std::uint32_t shard) const {
-    return engine_ != nullptr ? engine_->stats(shard) : ShardEngine::Stats{};
-  }
+  /// Runs the scheduler dry (events().run_all()).
+  void run_all() { events_.run_all(); }
+  /// Advances the clock to exactly `until` (events().run_until()).
+  void run_until(Time until) { events_.run_until(until); }
 
   /// Direct access to a link (event injection, ECMP reconfiguration).
   /// Throws when the link does not exist.
@@ -232,23 +181,21 @@ class Wan {
   /// The packet-buffer free list: buffers of delivered and dropped packets
   /// land here, and traffic sources should build packets from it
   /// (make_udp_packet(pool, ...)) so the steady-state pipeline recycles
-  /// instead of allocating.  Buffers live on the shard where a packet dies;
-  /// the no-argument accessor is shard 0's pool.
-  [[nodiscard]] net::BufferPool& buffer_pool() noexcept { return shards_[0]->pool; }
-  [[nodiscard]] net::BufferPool& buffer_pool(std::uint32_t shard) noexcept {
-    return shards_[shard]->pool;
+  /// instead of allocating.
+  [[nodiscard]] net::BufferPool& buffer_pool() noexcept { return pool_; }
+
+  // --- Statistics ------------------------------------------------------------
+
+  [[nodiscard]] std::uint64_t delivered() const noexcept { return delivered_; }
+  [[nodiscard]] std::uint64_t dropped(DropReason r) const noexcept {
+    return drops_[static_cast<std::size_t>(r)];
   }
-
-  // --- Statistics (aggregated across shards) --------------------------------
-
-  [[nodiscard]] std::uint64_t delivered() const noexcept;
-  [[nodiscard]] std::uint64_t dropped(DropReason r) const noexcept;
   [[nodiscard]] std::uint64_t total_dropped() const noexcept;
 
   /// Flow-cache effectiveness: FIB lookups served by the per-router flow
   /// cache vs. total FIB lookups (every forwarding hop does one).
-  [[nodiscard]] std::uint64_t fib_cache_hits() const noexcept;
-  [[nodiscard]] std::uint64_t fib_lookups() const noexcept;
+  [[nodiscard]] std::uint64_t fib_cache_hits() const noexcept { return fib_cache_hits_; }
+  [[nodiscard]] std::uint64_t fib_lookups() const noexcept { return fib_lookups_; }
   [[nodiscard]] double fib_cache_hit_rate() const noexcept {
     const std::uint64_t lookups = fib_lookups();
     return lookups > 0 ? static_cast<double>(fib_cache_hits()) / static_cast<double>(lookups)
@@ -275,7 +222,6 @@ class Wan {
   /// One router's forwarding state.
   struct RouterState {
     bgp::RouterId id = 0;
-    std::uint32_t shard = 0;
     /// Longest-prefix-match to the next-hop router; self id = local delivery.
     net::PrefixTrie<bgp::RouterId> fib;
     DeliveryHandler handler;
@@ -285,51 +231,19 @@ class Wan {
     std::array<FlowCacheSet, kFlowCacheSets> flow_cache{};
   };
 
-  /// One directed link plus its sharding metadata.  `seq` counts transmits
-  /// (the arrival ordering key, a pure function of logical history) and is
-  /// written only by the owning (from-router's) shard.
+  /// One directed link.
   struct LinkState {
     topo::LinkKey key;
     Link link;
-    std::uint32_t index = 0;  ///< position in links_ (arrival-key link field)
-    std::uint32_t from_shard = 0;
-    std::uint32_t to_shard = 0;
-    std::uint64_t seq = 0;
-    Time floor = 1;  ///< Link::min_delay() snapshot (lookahead bound)
-  };
-
-  /// One shard's execution state: scheduler, buffer recycling and statistics
-  /// counters, all single-writer from the owning shard's loop.  Classic mode
-  /// is exactly one Shard.  unique_ptr keeps addresses stable for the inline
-  /// closures that capture per-shard pointers.
-  struct Shard {
-    explicit Shard(EventQueue::Backend backend) : events{backend} {}
-    EventQueue events;
-    net::BufferPool pool;
-    std::vector<std::vector<net::Packet>> burst_pool;
-    std::uint64_t injections = 0;  ///< injection-band key counter
-    std::uint64_t fib_cache_hits = 0;
-    std::uint64_t fib_lookups = 0;
-    std::uint64_t delivered = 0;
-    std::array<std::uint64_t, 5> drops{};
-    // Pre-resolved instruments (nullptr until wire_observability).
-    telemetry::Counter* delivered_metric = nullptr;
-    telemetry::Counter* hops_metric = nullptr;
-    telemetry::Counter* fib_hits_metric = nullptr;
-    telemetry::Counter* fib_lookups_metric = nullptr;
-    std::array<telemetry::Counter*, 5> drop_metrics{};
   };
 
   void forward(bgp::RouterId at, net::Packet packet);
   /// FIB lookup through the flow cache; nullptr-equivalent is `false`.
-  [[nodiscard]] bool lookup_next_hop(Shard& sh, RouterState& state,
-                                     const net::Packet::FlowKey& flow, bgp::RouterId& next_hop);
-  void drop(DropReason r, Shard& sh, RouterState& state, net::Packet&& packet);
-  void recycle(Shard& sh, net::Packet&& packet) {
-    sh.pool.release(std::move(packet).release_buffer());
-  }
-  void recycle_burst(Shard& sh, std::vector<net::Packet>&& burst);
-  static void drain_mail(void* self, std::uint32_t shard, ShardEngine::Mail&& mail);
+  [[nodiscard]] bool lookup_next_hop(RouterState& state, const net::Packet::FlowKey& flow,
+                                     bgp::RouterId& next_hop);
+  void drop(DropReason r, RouterState& state, net::Packet&& packet);
+  void recycle(net::Packet&& packet) { pool_.release(std::move(packet).release_buffer()); }
+  void recycle_burst(std::vector<net::Packet>&& burst);
 
   [[nodiscard]] RouterState* find_router(bgp::RouterId id) noexcept;
   [[nodiscard]] LinkState* find_link(const topo::LinkKey& key) noexcept;
@@ -348,8 +262,19 @@ class Wan {
   /// on every hop — binary search over contiguous memory, no tree nodes.
   std::vector<RouterState> routers_;
   std::vector<LinkState> links_;
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::unique_ptr<ShardEngine> engine_;  ///< nullptr in classic mode
+  EventQueue events_;
+  net::BufferPool pool_;
+  std::vector<std::vector<net::Packet>> burst_pool_;
+  std::uint64_t fib_cache_hits_ = 0;
+  std::uint64_t fib_lookups_ = 0;
+  std::uint64_t delivered_ = 0;
+  std::array<std::uint64_t, 5> drops_{};
+  // Pre-resolved instruments (nullptr until wire_observability).
+  telemetry::Counter* delivered_metric_ = nullptr;
+  telemetry::Counter* hops_metric_ = nullptr;
+  telemetry::Counter* fib_hits_metric_ = nullptr;
+  telemetry::Counter* fib_lookups_metric_ = nullptr;
+  std::array<telemetry::Counter*, 5> drop_metrics_{};
   HopObserver hop_observer_;
   FibSyncStats fib_stats_;
   FibSync fib_sync_mode_ = FibSync::incremental;

@@ -268,11 +268,16 @@ TEST(FibSync, ModeSelectionAndStats) {
   EXPECT_EQ(wan.fib_sync_stats().syncs, 2u);
   EXPECT_GT(wan.fib_sync_stats().delta_applies, 0u);
 
-  wan.set_fib_sync_mode(FibSync::full_rebuild);
-  EXPECT_EQ(wan.fib_sync_mode(), FibSync::full_rebuild);
-  const std::uint64_t rebuilds = wan.fib_sync_stats().full_rebuilds;
-  wan.sync_fibs();
-  EXPECT_EQ(wan.fib_sync_stats().full_rebuilds, rebuilds + 1);
+  // The mode is chosen at construction: a full-rebuild Wan rebuilds on every
+  // sync and never applies a delta.
+  Wan full{topo, Rng{1}, WanOptions{.fib_sync = FibSync::full_rebuild}};
+  EXPECT_EQ(full.fib_sync_mode(), FibSync::full_rebuild);
+  EXPECT_EQ(full.fib_sync_stats().full_rebuilds, 1u);
+  full.sync_fibs();
+  EXPECT_EQ(full.fib_sync_stats().syncs, 2u);
+  EXPECT_EQ(full.fib_sync_stats().full_rebuilds, 2u);
+  EXPECT_EQ(full.fib_sync_stats().delta_applies, 0u);
+  EXPECT_EQ(full.fib_digest(), wan.fib_digest());
 }
 
 }  // namespace

@@ -70,16 +70,23 @@ TEST(LinkCapacity, PacketsPastTheQueueCapAreCongestionDrops) {
 }
 
 TEST(LinkCapacity, QueueingOnlyAddsDelayNeverDipsBelowFloor) {
-  // The sharded engine's lookahead leans on min_delay(); the capacity model
-  // must only ever add to the propagation sample.
-  Link link{lossless_profile(), Rng{6}};
-  link.set_capacity(500.0, 100.0);
-  const Time floor = link.min_delay();
+  // The capacity model must only ever add to the propagation sample.  It
+  // draws no RNG, so a capacitated and an uncapacitated link on the same
+  // seed sample the same jittered propagation delays packet for packet.
+  topo::LinkProfile jittery = lossless_profile();
+  jittery.floor_ms = 8.0;
+  jittery.jitter = topo::JitterKind::gaussian;
+  jittery.jitter_sigma_ms = 1.0;
+  Link capped{jittery, Rng{6}};
+  Link uncapped{jittery, Rng{6}};
+  // 2 ms service time, 100 ms queue: all 50 packets of the burst fit.
+  capped.set_capacity(500.0, 100.0);
   for (int i = 0; i < 50; ++i) {
-    const Transmission t = link.transmit(kSecond, 42);
-    if (!t.dropped) {
-      EXPECT_GE(t.delay, floor);
-    }
+    const Transmission t = capped.transmit(kSecond, 42);
+    const Transmission u = uncapped.transmit(kSecond, 42);
+    ASSERT_FALSE(t.dropped) << "packet " << i;
+    ASSERT_FALSE(u.dropped) << "packet " << i;
+    EXPECT_GE(t.delay, u.delay) << "packet " << i;
   }
 }
 

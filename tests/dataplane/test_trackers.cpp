@@ -189,22 +189,22 @@ TEST(ReplayWindow, AcceptsEachSequenceOnce) {
 
 TEST(ReplayWindow, LateFirstArrivalInsideWindowAccepted) {
   ReplayWindow w{64};
-  w.accept(0);
-  w.accept(10);  // 1..9 skipped, still inside the window
+  ASSERT_TRUE(w.accept(0));
+  ASSERT_TRUE(w.accept(10));  // 1..9 skipped, still inside the window
   EXPECT_TRUE(w.accept(5));
   EXPECT_FALSE(w.accept(5)) << "second copy is the replay";
 }
 
 TEST(ReplayWindow, BelowWindowFloorRejected) {
   ReplayWindow w{64};
-  w.accept(1000);
+  ASSERT_TRUE(w.accept(1000));
   EXPECT_FALSE(w.accept(1000 - w.width())) << "at the floor: too old to distinguish";
   EXPECT_TRUE(w.accept(1000 - w.width() + 1)) << "oldest in-window sequence still accepted";
 }
 
 TEST(ReplayWindow, LargeJumpForgetsStaleBits) {
   ReplayWindow w{64};
-  for (std::uint64_t s = 0; s < 64; ++s) w.accept(s);
+  for (std::uint64_t s = 0; s < 64; ++s) ASSERT_TRUE(w.accept(s)) << s;
   // Jump several windows ahead: ring positions are re-used and must not
   // leak "seen" bits onto the new window's sequences.
   const std::uint64_t jump = 10 * w.width();
@@ -212,6 +212,26 @@ TEST(ReplayWindow, LargeJumpForgetsStaleBits) {
   for (std::uint64_t s = jump - w.width() + 1; s < jump; ++s) {
     EXPECT_TRUE(w.accept(s)) << s;
   }
+}
+
+TEST(ReplayWindow, DefaultWidthAcceptsSpikeReorderedHonestArrival) {
+  // A delay spike holds one packet back while ~1,600 later sequences of the
+  // same path arrive: the late original is honest and must get through once.
+  ReplayWindow w;
+  ASSERT_GE(w.width(), 4096u);
+  constexpr std::uint64_t kLate = 100;
+  constexpr std::uint64_t kLag = 1600;
+  for (std::uint64_t s = 0; s <= kLate + kLag; ++s) {
+    if (s == kLate) continue;
+    ASSERT_TRUE(w.accept(s)) << s;
+  }
+  EXPECT_TRUE(w.accept(kLate)) << "honest arrival 1,600 sequences late";
+  EXPECT_FALSE(w.accept(kLate)) << "its second copy is a replay";
+  // The floor still holds: advance so the window leaves sequence 0 behind.
+  const std::uint64_t head = w.width() + kLate + kLag;
+  ASSERT_TRUE(w.accept(head));
+  EXPECT_FALSE(w.accept(head - w.width())) << "at the floor: too old to distinguish";
+  EXPECT_FALSE(w.accept(0)) << "below the floor";
 }
 
 TEST(OneWayDelayTracker, RollingJitterDrainsWithTime) {

@@ -60,7 +60,42 @@ void BM_Udp6Checksum(benchmark::State& state) {
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * state.range(0));
 }
-BENCHMARK(BM_Udp6Checksum)->Arg(64)->Arg(1500);
+BENCHMARK(BM_Udp6Checksum)->Arg(64)->Arg(1456)->Arg(1500);
+
+// Receive-side check over the outer UDP segment of a 1400-byte-payload
+// packet (1456 B: UDP + Tango header + tag + inner IPv6/UDP + payload).
+void BM_Udp6ChecksumVerify(benchmark::State& state) {
+  std::mt19937_64 rng{static_cast<std::uint64_t>(state.range(0))};
+  std::vector<std::uint8_t> segment(static_cast<std::size_t>(state.range(0)));
+  for (auto& b : segment) b = static_cast<std::uint8_t>(rng());
+  segment[6] = segment[7] = 0;
+  const std::uint16_t csum = net::udp6_checksum(kTunA, kTunB, segment);
+  segment[6] = static_cast<std::uint8_t>(csum >> 8);
+  segment[7] = static_cast<std::uint8_t>(csum);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(net::udp6_checksum_ok(kTunA, kTunB, segment));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * state.range(0));
+}
+BENCHMARK(BM_Udp6ChecksumVerify)->Arg(1456);
+
+// §6 MAC over the measurement fields and the inner packet, as computed once
+// by the sender and once by the receiver for every keyed packet.
+void BM_TelemetryAuthTag(benchmark::State& state) {
+  const net::SipHashKey key{.k0 = 0x0706050403020100ull, .k1 = 0x0f0e0d0c0b0a0908ull};
+  const net::Packet inner = make_inner(static_cast<std::size_t>(state.range(0)));
+  net::TangoHeader header;
+  header.flags |= net::TangoHeader::kFlagAuthenticated;
+  std::uint64_t seq = 0;
+  for (auto _ : state) {
+    header.sequence = seq++;
+    header.tx_time_ns = seq * 1000;
+    benchmark::DoNotOptimize(dataplane::telemetry_auth_tag(key, header, inner));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(inner.size()));
+}
+BENCHMARK(BM_TelemetryAuthTag)->Arg(64)->Arg(1400);
 
 void BM_TrieLookup(benchmark::State& state) {
   net::PrefixTrie<int> trie;

@@ -1,5 +1,7 @@
 #include "dataplane/encap.hpp"
 
+#include "net/byte_io.hpp"
+
 namespace tango::dataplane {
 
 std::uint64_t telemetry_auth_tag(const net::SipHashKey& key, const net::TangoHeader& header,
@@ -9,12 +11,17 @@ std::uint64_t telemetry_auth_tag(const net::SipHashKey& key, const net::TangoHea
   // materializing it.  version|flags lead the MAC: without them a header
   // flag bit could be flipped in flight without invalidating the tag (the
   // sender sets kFlagAuthenticated before computing the tag, so both
-  // directions see the same flag byte).
+  // directions see the same flag byte).  The 20-byte prefix goes in as one
+  // update, so the hash absorbs two whole words and buffers the last four.
+  std::uint8_t prefix[20];
+  net::SpanWriter w{prefix};
+  w.u8(header.version);
+  w.u8(header.flags);
+  w.u16(header.path_id);
+  w.u64(header.tx_time_ns);
+  w.u64(header.sequence);
   net::SipHash h{key};
-  h.update_u16(static_cast<std::uint16_t>((header.version << 8) | header.flags));
-  h.update_u16(header.path_id);
-  h.update_u64(header.tx_time_ns);
-  h.update_u64(header.sequence);
+  h.update(prefix);
   h.update(inner_bytes);
   return h.finish();
 }

@@ -12,8 +12,11 @@
 
 namespace tango::net {
 
-/// One's-complement sum of 16-bit words (RFC 1071), not yet complemented.
-/// Exposed so callers can chain partial sums (pseudo-header + payload).
+/// One's-complement sum of 16-bit words (RFC 1071), not yet complemented,
+/// added to `sum` with end-around carry.  The result may come back folded;
+/// only its checksum_finish value is defined.  Exposed so callers can chain
+/// partial sums (pseudo-header + payload); pieces after the first must
+/// start at an even offset of the whole.
 [[nodiscard]] std::uint32_t checksum_partial(std::span<const std::uint8_t> data,
                                              std::uint32_t sum = 0) noexcept;
 

@@ -41,8 +41,6 @@ class SipHash {
   [[nodiscard]] std::uint64_t finish() noexcept;
 
  private:
-  void absorb(std::uint64_t m) noexcept;
-
   std::uint64_t v0_, v1_, v2_, v3_;
   std::uint8_t buf_[8] = {};
   std::size_t buffered_ = 0;

@@ -168,6 +168,60 @@ TEST(FastPath, AuthRejectionLeavesPacketUntouched) {
   EXPECT_EQ(receiver.auth_failures(), 1u);
 }
 
+// Golden wire values: the MAC and checksum kernels are rewritten for speed
+// from time to time, and these constants (taken from the byte-at-a-time
+// kernels) pin their output to the bit.  A change here is a wire change.
+std::uint64_t fnv1a64(std::span<const std::uint8_t> bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const std::uint8_t b : bytes) h = (h ^ b) * 0x100000001b3ull;
+  return h;
+}
+
+net::Packet golden_inner() {
+  std::vector<std::uint8_t> payload(1400);
+  for (std::size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<std::uint8_t>(i * 167 + 13);
+  }
+  return net::make_udp_packet(kHostA, kHostB, 40000, 443, payload);
+}
+
+TEST(WireGolden, AuthTagOverEveryHeaderWord) {
+  net::TangoHeader h;
+  h.flags |= net::TangoHeader::kFlagAuthenticated;
+  h.path_id = 0xA55A;
+  h.tx_time_ns = 0x0123456789ABCDEFull;
+  h.sequence = 0xFEDCBA9876543210ull;
+  const net::Packet inner = golden_inner();
+  ASSERT_EQ(fnv1a64(inner.bytes()), 0xe166c4f59d1cc792ull) << "inner packet builder changed";
+  EXPECT_EQ(telemetry_auth_tag(kKey, h, inner), 0x06dcad8cfe71d7bdull);
+  EXPECT_EQ(telemetry_auth_tag(kKey, h, std::span<const std::uint8_t>{}),
+            0x4fdede22955dcd22ull);
+}
+
+TEST(WireGolden, Keyed1400ByteWrapIsByteExact) {
+  const TunnelTable table = one_tunnel();
+  const sim::NodeClock clock{sim::from_ms(86'400'000.0)};  // one day of offset
+  TunnelSender sender{table, clock, kKey};
+  net::Packet wan;
+  for (int i = 0; i < 3; ++i) {  // the third packet carries sequence 2
+    wan = golden_inner();
+    ASSERT_TRUE(sender.wrap_inplace(wan, 1, sim::from_ms(250.0 + i)));
+  }
+  const auto bytes = wan.bytes();
+  ASSERT_EQ(bytes.size(), 1528u);
+  const std::size_t udp = net::Ipv6Header::kSize;
+  const std::size_t tag = udp + net::UdpHeader::kSize + net::TangoHeader::kSize;
+  const auto be16 = [&](std::size_t at) { return (bytes[at] << 8) | bytes[at + 1]; };
+  std::uint64_t wire_tag = 0;
+  for (std::size_t i = 0; i < 8; ++i) wire_tag = (wire_tag << 8) | bytes[tag + i];
+  EXPECT_EQ(be16(udp + 6), 0x114b);
+  EXPECT_EQ(wire_tag, 0x008addb1660f3fd8ull);
+  EXPECT_EQ(fnv1a64(bytes), 0xb89c47bcef3a8bf5ull);
+
+  TunnelReceiver receiver{clock, /*keep_series=*/false, kKey};
+  EXPECT_TRUE(receiver.unwrap_inplace(wan, sim::from_ms(280.0)).has_value());
+}
+
 TEST(TangoHeaderParse, EveryTruncationReturnsNullopt) {
   net::TangoHeader h{.path_id = 9, .tx_time_ns = 1, .sequence = 2};
   h.flags |= net::TangoHeader::kFlagAuthenticated;

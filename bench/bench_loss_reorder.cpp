@@ -21,7 +21,7 @@ LossRun run_loss(std::uint64_t seed, double loss_rate) {
   Testbed bed{seed};
   bed.wan.link(kGtt, kVultrLa).set_loss(std::make_unique<sim::BernoulliLoss>(loss_rate));
 
-  bed.ny.dp().set_active_path(3);  // GTT
+  bed.ny.dp().set_active_path(kServerLa, 3);  // GTT
   const std::vector<std::uint8_t> payload{0xAA};
   for (int i = 0; i < 20000; ++i) {
     bed.wan.events().schedule_in(i * sim::kMillisecond, [&bed, &payload]() {
@@ -64,7 +64,7 @@ int main() {
   Testbed bed{kSeed + 1};
   bed.wan.link(kGtt, kVultrLa)
       .set_loss(std::make_unique<sim::GilbertElliottLoss>(0.01, 0.1, 0.001, 0.6));
-  bed.ny.dp().set_active_path(3);
+  bed.ny.dp().set_active_path(kServerLa, 3);
   const std::vector<std::uint8_t> payload{0xBB};
   for (int i = 0; i < 20000; ++i) {
     bed.wan.events().schedule_in(i * sim::kMillisecond, [&bed, &payload]() {
@@ -87,7 +87,7 @@ int main() {
   // pinned tunnels see (almost) none of it.
   Testbed bed2{kSeed + 2};
   bed2.wan.link(kGtt, kVultrLa).set_ecmp(4, 2.0);
-  bed2.ny.dp().set_active_path(3);
+  bed2.ny.dp().set_active_path(kServerLa, 3);
   for (int i = 0; i < 5000; ++i) {
     bed2.wan.events().schedule_in(i * sim::kMillisecond, [&bed2, &payload]() {
       bed2.ny.dp().send_from_host(net::make_udp_packet(

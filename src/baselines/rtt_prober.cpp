@@ -83,11 +83,8 @@ void RttProber::probe(core::PathId path, const net::Ipv6Address& peer_host) {
                            payload.serialize());
   const sim::Time host_delay = sim::from_ms(noise_.sample_ms(rng_));
   wan_.events().schedule_in(host_delay, [this, path, packet = std::move(packet)]() {
-    // Pin the probe to the requested path regardless of the active one.
-    auto previous = node_.dp().active_path();
-    node_.dp().set_active_path(path);
-    node_.dp().send_from_host(packet);
-    if (previous) node_.dp().set_active_path(*previous);
+    // Pinned to the requested path; the node's active paths stay untouched.
+    node_.dp().send_on_path(packet, path);
   });
 }
 

@@ -202,7 +202,9 @@ std::vector<std::uint8_t> encode_update(const Update& update,
     if (v6) {
       // MP_REACH_NLRI: AFI, SAFI, next hop, reserved, NLRI.
       if (!next_hop.is_v6()) throw WireError{"IPv6 NLRI needs an IPv6 next hop"};
-      net::ByteWriter mp;
+      // Sized up front: AFI/SAFI, next-hop length, next hop, reserved, and
+      // the longest IPv6 NLRI (length byte + 16 address bytes).
+      net::ByteWriter mp{4 + 16 + 1 + 17};
       mp.u8(kAfiIpv6Hi);
       mp.u8(kAfiIpv6Lo);
       mp.u8(kSafiUnicast);

@@ -40,17 +40,14 @@ TangoNode::TangoNode(topo::Topology& topo, sim::Wan& wan, NodeConfig config)
         "Report sequences skipped before an accepted envelope (suppression evidence)");
     compliance_.wire_metrics(*config_.obs.metrics, label);
   }
-  if (config_.policy_engine) enable_policy_engine(*config_.policy_engine);
 }
 
-void TangoNode::enable_policy_engine(PolicyEngine::Options options) {
-  engine_ = std::make_unique<PolicyEngine>(options);
+void TangoNode::enable_policy_engine() {
+  engine_ = std::make_unique<PolicyEngine>();
   switch_.set_route_fn(
       [](void* ctx, const net::Packet& inner, bgp::RouterId peer, std::uint64_t flow_hash,
-         sim::Time now) -> dataplane::TangoSwitch::RouteDecision {
-        const PolicyEngine::Decision d =
-            static_cast<PolicyEngine*>(ctx)->decide(inner, peer, flow_hash, now);
-        return {.primary = d.primary, .duplicate = d.duplicate};
+         sim::Time now) {
+        return static_cast<PolicyEngine*>(ctx)->decide(inner, peer, flow_hash, now);
       },
       engine_.get());
 }
@@ -136,12 +133,11 @@ std::vector<PathId> TangoNode::paths_to(bgp::RouterId peer) const {
   return {};
 }
 
-std::optional<PathId> TangoNode::apply_policy(sim::Time now) {
-  if (!policy_ && !engine_) return switch_.active_path();
+void TangoNode::apply_policy(sim::Time now) {
+  if (!policy_ && !engine_) return;
 
   health_.tick(now);
 
-  std::optional<PathId> last_choice;
   for (const auto& [peer, ids] : peer_paths_) {
     // Restrict the policy's view to this peer's paths, minus paths the
     // health monitor has quarantined (their reports are frozen telemetry a
@@ -173,9 +169,7 @@ std::optional<PathId> TangoNode::apply_policy(sim::Time now) {
     // The engine rides the same tick and the same health-filtered view: its
     // weighted/hedged ranking always reflects what the failover policy saw.
     if (engine_) engine_->refresh(peer, views, now);
-    last_choice = chosen ? chosen : current;
   }
-  return last_choice ? last_choice : switch_.active_path();
 }
 
 void TangoNode::update_report(PathId id, const PathReport& report) {

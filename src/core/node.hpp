@@ -45,11 +45,6 @@ struct NodeConfig {
   /// Share one Observability across the deployment — both nodes and the WAN
   /// — for a coherent snapshot.
   telemetry::Observability obs;
-  /// When set, a PolicyEngine is created at construction with these options
-  /// and attached to the switch's route hook (class/rule tables are then
-  /// configured through policy_engine()).  Absent = classic failover-only
-  /// routing, bit-identical to builds without the engine.
-  std::optional<PolicyEngine::Options> policy_engine;
 };
 
 class TangoNode {
@@ -125,15 +120,15 @@ class TangoNode {
   /// apply_policy tick from the same health-filtered report view the
   /// RoutingPolicy sees.  In its default failover mode the engine declines
   /// every decision, leaving the data path byte-identical.
-  void enable_policy_engine(PolicyEngine::Options options = {});
+  void enable_policy_engine();
 
-  /// The engine, nullptr until enable_policy_engine (or NodeConfig opt-in).
+  /// The engine, nullptr until enable_policy_engine.
   [[nodiscard]] PolicyEngine* policy_engine() noexcept { return engine_.get(); }
   [[nodiscard]] const PolicyEngine* policy_engine() const noexcept { return engine_.get(); }
 
-  /// Runs the policy against the current reports; switches the data plane's
-  /// active path when the decision changed.  Returns the chosen path.
-  std::optional<PathId> apply_policy(sim::Time now);
+  /// Runs the policy against the current reports and switches each peer's
+  /// active path when the decision changed; refreshes the engine's weights.
+  void apply_policy(sim::Time now);
 
   /// Installs a fresh performance report for an outbound path (feedback
   /// from the cooperating peer) and feeds the path-health monitor.

@@ -80,13 +80,6 @@ void TangoSwitch::wire_observability(const telemetry::Observability& obs,
                             .node = router_});
 }
 
-std::optional<PathId> TangoSwitch::active_path(TangoSwitch::PeerId peer) const {
-  for (const auto& [p, path] : active_by_peer_) {
-    if (p == peer) return path;
-  }
-  return active_default_;
-}
-
 bool TangoSwitch::prepare_outbound(net::Packet& inner) {
   // Host traffic may be IPv4 or IPv6 (paper §3: host addressing "can even
   // be a different IP version"); the tunnels themselves are IPv6.  The flow
@@ -103,22 +96,14 @@ bool TangoSwitch::prepare_outbound(net::Packet& inner) {
     return true;
   }
 
-  std::optional<PathId> path;
-  bool by_selector = false;
-  if (selector_) {
-    path = selector_(inner);
-    by_selector = path.has_value();
-  }
-  PathId dup_path = 0;
+  // One decision: the hook's primary, else this peer's active path.
+  RouteDecision decision;
   if (route_fn_ != nullptr) {
-    const RouteDecision decision =
-        route_fn_(route_ctx_, inner, *peer, flow->hash, wan_.now());
-    if (!path && decision.primary != 0) path = decision.primary;
-    if (decision.duplicate != 0 && (!path || decision.duplicate != *path)) {
-      dup_path = decision.duplicate;
-    }
+    decision = route_fn_(route_ctx_, inner, *peer, flow->hash, wan_.now());
   }
-  if (!path) path = active_path(*peer);
+  const bool by_hook = decision.primary != 0;
+  const std::optional<PathId> path =
+      by_hook ? std::optional<PathId>{decision.primary} : active_path(*peer);
   if (!path) {
     ++no_tunnel_drops_;
     telemetry::inc(no_tunnel_metric_);
@@ -141,13 +126,15 @@ bool TangoSwitch::prepare_outbound(net::Packet& inner) {
                      .node = router_,
                      .path = *path,
                      .stage = telemetry::TraceStage::route_select,
-                     .cause = by_selector ? telemetry::TraceCause::selector
-                                          : telemetry::TraceCause::active_path});
+                     .cause = by_hook ? telemetry::TraceCause::policy
+                                      : telemetry::TraceCause::active_path});
   }
 
   // The hedged second copy must be taken *before* the in-place wrap below
   // consumes the inner bytes.
-  if (dup_path != 0) send_hedge_duplicate(inner, dup_path);
+  if (decision.duplicate != 0 && decision.duplicate != decision.primary) {
+    send_hedge_duplicate(inner, decision.duplicate);
+  }
 
   if (!sender_.wrap_inplace(inner, *path, wan_.now())) {
     ++no_tunnel_drops_;

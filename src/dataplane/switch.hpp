@@ -45,16 +45,13 @@ class TangoSwitch {
   using HostHandler =
       std::function<void(const net::Packet& inner, const std::optional<ReceiveInfo>& info)>;
 
-  /// Per-packet path choice; returning nullopt falls back to the switch's
-  /// active path.  Enables the paper's "application-specific routing
-  /// decision" (§3) — e.g. keying on the inner traffic class.
-  using Selector = std::function<std::optional<PathId>(const net::Packet& inner)>;
-
-  /// Raw (devirtualized) per-packet route hook for the policy engine: a
-  /// plain function pointer, mirroring Wan::attach_raw, so the hot path pays
-  /// no std::function dispatch.  primary == 0 falls back to the active path;
-  /// duplicate != 0 additionally sends a copy of the packet on that path
-  /// (hedged duplication; the receiving switch suppresses the second copy).
+  /// Raw (devirtualized) per-packet route hook: a plain function pointer,
+  /// mirroring Wan::attach_raw, so the hot path pays no std::function
+  /// dispatch.  It carries the paper's "application-specific routing
+  /// decision" (§3), e.g. keying on the inner traffic class.  primary == 0
+  /// falls back to the peer's active path; duplicate != 0 additionally sends
+  /// a copy of the packet on that path (hedged duplication; the receiving
+  /// switch suppresses the second copy).
   struct RouteDecision {
     PathId primary = 0;
     PathId duplicate = 0;
@@ -79,31 +76,14 @@ class TangoSwitch {
   /// Declares a peer host prefix: traffic to it is Tango-routed toward
   /// `peer`.  Longest-prefix match decides when prefixes nest.  The Prefix
   /// overload accepts IPv4 host prefixes (stored v4-mapped).
-  void add_peer_prefix(const net::Ipv6Prefix& prefix, PeerId peer = kDefaultPeer);
-  void add_peer_prefix(const net::Prefix& prefix, PeerId peer = kDefaultPeer);
+  void add_peer_prefix(const net::Ipv6Prefix& prefix, PeerId peer);
+  void add_peer_prefix(const net::Prefix& prefix, PeerId peer);
 
   [[nodiscard]] TunnelTable& tunnels() noexcept { return tunnels_; }
   [[nodiscard]] const TunnelTable& tunnels() const noexcept { return tunnels_; }
 
-  /// Forces every peer onto `path` (clears per-peer choices).  This is the
-  /// whole story in a two-party deployment and the "pin this path now"
-  /// control for probers and tests.
-  void set_active_path(PathId path) {
-    active_by_peer_.clear();
-    active_default_ = path;
-  }
-
-  /// The effective path a two-party caller reads: the default-peer choice
-  /// when one was made, else the default.  (A per-peer entry for any *other*
-  /// peer must not leak here — Tango-of-N peers have their own paths.)
-  [[nodiscard]] std::optional<PathId> active_path() const noexcept {
-    for (const auto& [peer, path] : active_by_peer_) {
-      if (peer == kDefaultPeer) return path;
-    }
-    return active_default_;
-  }
-
-  /// Per-peer active path (Tango-of-N); falls back to the default.
+  /// Sets the path that carries `peer`'s traffic when the route hook has
+  /// no opinion.  Each peer has its own entry (Tango-of-N, paper §6).
   void set_active_path(PeerId peer, PathId path) {
     for (auto& [p, existing] : active_by_peer_) {
       if (p == peer) {
@@ -113,16 +93,18 @@ class TangoSwitch {
     }
     active_by_peer_.emplace_back(peer, path);
   }
-  [[nodiscard]] std::optional<PathId> active_path(PeerId peer) const;
+  /// `peer`'s active path; nullopt when none was set for that peer.
+  [[nodiscard]] std::optional<PathId> active_path(PeerId peer) const noexcept {
+    for (const auto& [p, path] : active_by_peer_) {
+      if (p == peer) return path;
+    }
+    return std::nullopt;
+  }
 
-  static constexpr PeerId kDefaultPeer = 0;
-
-  void set_selector(Selector selector) { selector_ = std::move(selector); }
   void set_host_handler(HostHandler handler) { host_handler_ = std::move(handler); }
 
-  /// Installs the raw route hook (nullptr detaches).  Consulted after the
-  /// Selector: a Selector verdict wins on the primary path; the hook's
-  /// duplicate request is honored either way.
+  /// Installs the raw route hook (nullptr detaches).  Its primary wins over
+  /// the peer's active path; its duplicate request is honored either way.
   void set_route_fn(RouteFn fn, void* ctx) noexcept {
     route_fn_ = fn;
     route_ctx_ = ctx;
@@ -242,11 +224,9 @@ class TangoSwitch {
   TunnelSender sender_;
   TunnelReceiver receiver_;
   net::PrefixTrie<PeerId> peer_prefixes_;
-  std::optional<PathId> active_default_;
   /// Small flat map (a pairing has a handful of peers at most); linear scan
   /// beats a tree for these sizes and never allocates on lookup.
   std::vector<std::pair<PeerId, PathId>> active_by_peer_;
-  Selector selector_;
   HostHandler host_handler_;
   RouteFn route_fn_ = nullptr;
   void* route_ctx_ = nullptr;

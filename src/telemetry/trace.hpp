@@ -40,7 +40,7 @@ enum class TraceStage : std::uint8_t {
 /// Why the stage happened the way it did.
 enum class TraceCause : std::uint8_t {
   none,
-  selector,       ///< route_select: per-packet selector chose the path
+  policy,         ///< route_select: the switch's route hook chose the path
   active_path,    ///< route_select: fell back to the peer's active path
   no_tunnel,      ///< drop: peer matched but no usable tunnel/path
   auth_fail,      ///< drop: telemetry authentication tag invalid (§6)

@@ -2,6 +2,8 @@
 // (the E6 claim) and the RTT-fed multihoming policy.
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "baselines/bgp_default.hpp"
 #include "baselines/multihoming.hpp"
 #include "core/pairing.hpp"
@@ -76,6 +78,34 @@ TEST_F(BaselineTest, PeriodicProbingCoversAllPaths) {
   for (const auto& [id, est] : prober.estimates()) {
     EXPECT_GT(est.samples, 10u) << "path " << id;
   }
+}
+
+TEST_F(BaselineTest, ProbingEveryPathLeavesActivePathAndSwitchesAlone) {
+  // Regression: probes are pinned per packet.  Probing must not move the
+  // node's per-peer active path, or the next policy tick sees a phantom
+  // incumbent and counts a switch back to the path it never left.
+  EchoResponder responder{ny_, wan_, EdgeNoise{}, sim::Rng{1}};
+  RttProber prober{la_, wan_, EdgeNoise{}, sim::Rng{2}};
+  la_.dp().set_host_handler(
+      [&prober](const net::Packet& p, const std::optional<dataplane::ReceiveInfo>&) {
+        prober.consume(p);
+      });
+  la_.set_policy(std::make_unique<core::StaticPathPolicy>(3));
+  la_.apply_policy(wan_.now());  // leaves the BGP default for GTT
+  ASSERT_EQ(la_.dp().active_path(kServerNy), core::PathId{3});
+  ASSERT_EQ(la_.path_switches(), 1u);
+
+  const std::vector<core::PathId> paths = la_.paths_to(kServerNy);
+  ASSERT_EQ(paths.size(), 4u);
+  for (core::PathId id : paths) prober.probe(id, ny_.host_address(1));
+  wan_.events().run_all();
+  EXPECT_EQ(prober.answers(), 4u);
+  EXPECT_EQ(prober.estimates().size(), 4u) << "each probe rode its own path";
+  EXPECT_EQ(la_.dp().active_path(kServerNy), core::PathId{3});
+
+  la_.apply_policy(wan_.now());
+  EXPECT_EQ(la_.dp().active_path(kServerNy), core::PathId{3});
+  EXPECT_EQ(la_.path_switches(), 1u) << "probing caused no switch";
 }
 
 TEST_F(BaselineTest, EdgeNoiseInflatesRttButNotTangoOneWay) {

@@ -174,13 +174,28 @@ std::vector<std::uint8_t> craft_update(std::vector<std::uint8_t> attrs,
 /// One path attribute in non-extended form.
 std::vector<std::uint8_t> attr(std::uint8_t flags, AttrType type,
                                std::vector<std::uint8_t> value) {
-  std::vector<std::uint8_t> out{flags, static_cast<std::uint8_t>(type),
-                                static_cast<std::uint8_t>(value.size())};
-  out.insert(out.end(), value.begin(), value.end());
-  return out;
+  net::ByteWriter out{3 + value.size()};
+  out.u8(flags);
+  out.u8(static_cast<std::uint8_t>(type));
+  out.u8(static_cast<std::uint8_t>(value.size()));
+  out.bytes(value);
+  return std::move(out).take();
 }
 
 const std::vector<std::uint8_t> kNlri24{24, 203, 0, 113};  // 203.0.113.0/24
+
+/// An IPv6 unicast MP_REACH_NLRI value: AFI/SAFI, a 16-byte next hop
+/// (2020:2020::...), reserved, then `nlri` verbatim.
+std::vector<std::uint8_t> mp_reach(std::initializer_list<std::uint8_t> nlri) {
+  net::ByteWriter mp{4 + 16 + 1 + nlri.size()};
+  mp.u16(2);  // AFI: IPv6
+  mp.u8(1);   // SAFI: unicast
+  mp.u8(16);  // next-hop length
+  for (int i = 0; i < 16; ++i) mp.u8(0x20);
+  mp.u8(0);  // reserved
+  mp.bytes(std::span{nlri.begin(), nlri.size()});
+  return std::move(mp).take();
+}
 
 // Regression: every decode failure must surface as WireError.  A
 // NOTIFICATION whose body cannot even hold the code/subcode pair used to
@@ -252,9 +267,7 @@ TEST(WireParse, FixedLengthAttributesRejectWrongSizes) {
 
 TEST(WireParse, MpReachWithoutNlriRejected) {
   // AFI/SAFI, 16-byte next hop, reserved — and then nothing announced.
-  std::vector<std::uint8_t> mp{0, 2, 1, 16};
-  mp.insert(mp.end(), 16, 0x20);
-  mp.push_back(0);  // reserved
+  const std::vector<std::uint8_t> mp = mp_reach({});
   EXPECT_THROW((void)parse_message(craft_update(attr(0x80, AttrType::mp_reach_nlri, mp))),
                WireError);
 }
@@ -263,11 +276,9 @@ TEST(WireParse, MpReachConsumesEveryNlri) {
   // Two prefixes in one MP_REACH_NLRI: both must decode (the last one wins
   // in this single-prefix implementation); a trailing half-prefix must
   // reject the whole attribute.
-  std::vector<std::uint8_t> mp{0, 2, 1, 16};
-  mp.insert(mp.end(), 16, 0x20);
-  mp.push_back(0);                               // reserved
-  mp.insert(mp.end(), {32, 0x20, 0x01, 0x0d, 0xb8});  // 2001:db8::/32
-  mp.insert(mp.end(), {48, 0x26, 0x20, 0x01, 0x10, 0x90, 0x11});  // 2620:110:9011::/48
+  // 2001:db8::/32, then 2620:110:9011::/48.
+  const std::vector<std::uint8_t> mp =
+      mp_reach({32, 0x20, 0x01, 0x0d, 0xb8, 48, 0x26, 0x20, 0x01, 0x10, 0x90, 0x11});
   const ParsedMessage parsed = parse_message(craft_update(attr(0x80, AttrType::mp_reach_nlri, mp)));
   ASSERT_TRUE(parsed.update.has_value());
   EXPECT_EQ(parsed.update->prefix, *net::Prefix::parse("2620:110:9011::/48"));

@@ -60,13 +60,13 @@ TEST_F(FailureTest, WithdrawnTunnelPrefixBlackholesOnlyThatPath) {
   const std::vector<std::uint8_t> payload{1};
   const net::Packet p = net::make_udp_packet(la_.host_address(1), ny_.host_address(1), 1, 2,
                                              payload);
-  la_.dp().set_active_path(3);
+  la_.dp().set_active_path(kServerNy, 3);
   la_.dp().send_from_host(p);
   wan_.events().run_all();
   EXPECT_EQ(delivered, 0u);
   EXPECT_EQ(wan_.dropped(sim::DropReason::no_route), 1u);
 
-  la_.dp().set_active_path(1);
+  la_.dp().set_active_path(kServerNy, 1);
   la_.dp().send_from_host(p);
   wan_.events().run_all();
   EXPECT_EQ(delivered, 1u) << "other paths keep working";
@@ -103,7 +103,7 @@ TEST_F(FailureTest, TrackersSeeInjectedLossAndReordering) {
   TangoPairing pairing2{lossy_wan, la2, ny2};
   pairing2.establish();
 
-  ny2.dp().set_active_path(3);  // NY->LA via the lossy GTT edge
+  ny2.dp().set_active_path(kServerLa, 3);  // NY->LA via the lossy GTT edge
   const std::vector<std::uint8_t> payload{9};
   for (int i = 0; i < 3000; ++i) {
     lossy_wan.events().schedule_in(i * sim::kMillisecond, [&ny2, &la2, &payload]() {

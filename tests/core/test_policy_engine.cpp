@@ -165,7 +165,7 @@ TEST(PolicyEngineFlowlets, LiveFlowletStaysPinnedAcrossWeightChanges) {
 
   const std::uint64_t flow = 0xABCDEF0102030405ull;
   const net::Packet p = udp(7000);
-  const sim::Time gap = eng.options().flowlet_gap;
+  const sim::Time gap = PolicyEngine::kFlowletGap;
 
   sim::Time now = kNow;
   const PathId pinned = eng.decide(p, kPeer, flow, now).primary;
@@ -200,7 +200,7 @@ TEST(PolicyEngineFlowlets, IdleGapAllowsRerouteAndDeadPathForcesOne) {
 
   // The pinned path loses all weight (stale report): even a live flowlet
   // must abandon it — pinning never overrides path death.
-  now += eng.options().flowlet_gap / 4;
+  now += PolicyEngine::kFlowletGap / 4;
   const PathId other = first == PathId{1} ? PathId{2} : PathId{1};
   PathViews dead{{other, report(30.0, 0.0, now)}};
   eng.refresh(kPeer, dead, now);
@@ -308,6 +308,38 @@ TEST_F(PolicyEngineE2E, HedgedClassDedupsAtReceiverWithMatchedCounters) {
   EXPECT_EQ(ny_.dp().hedge_duplicates(), kPackets) << "every sensitive packet hedged";
   EXPECT_EQ(la_.dp().hedge_suppressed(), ny_.dp().hedge_duplicates());
   EXPECT_EQ(eng->hedged_decisions(), kPackets);
+}
+
+TEST_F(PolicyEngineE2E, RouteSelectTraceNamesTheDecisionSource) {
+  // The engine's pick is traced as `policy`; a packet it declines falls
+  // back to the peer's active path and is traced as `active_path`.
+  pairing_.establish();
+  ny_.enable_policy_engine();
+  PolicyEngine* eng = ny_.policy_engine();
+  eng->set_class(kSensitive, 7001, 7001);
+  eng->add_rule(PolicyMode::weighted, std::nullopt, kSensitive);
+  // Only GTT (path 3) has a fresh report, so every weighted pick lands there.
+  eng->refresh(kServerLa, PathViews{{3, report(30.0, 0.0, wan_.now())}}, wan_.now());
+  ASSERT_EQ(ny_.dp().active_path(kServerLa), PathId{1});
+
+  telemetry::PacketTracer tracer;
+  tracer.enable_all();
+  ny_.dp().wire_observability({.tracer = &tracer});
+
+  const std::vector<std::uint8_t> payload(24, 0x22);
+  for (std::uint16_t dport : {7001, 7000}) {
+    ny_.dp().send_from_host(
+        net::make_udp_packet(ny_.host_address(2), la_.host_address(2), 33335, dport, payload));
+  }
+
+  std::vector<std::pair<telemetry::TraceCause, std::uint16_t>> selects;
+  for (const telemetry::TraceEvent& e : tracer.events()) {
+    if (e.stage == telemetry::TraceStage::route_select) selects.emplace_back(e.cause, e.path);
+  }
+  using telemetry::TraceCause;
+  EXPECT_EQ(selects, (std::vector<std::pair<TraceCause, std::uint16_t>>{
+                         {TraceCause::policy, 3}, {TraceCause::active_path, 1}}));
+  EXPECT_EQ(eng->weighted_decisions(), 1u);
 }
 
 TEST_F(PolicyEngineE2E, BulkTrafficUnaffectedByHedgeRule) {

@@ -148,8 +148,8 @@ TEST(AuthPipeline, OffPathInjectionCannotPolluteMeasurements) {
                               .remote_endpoint = s.plan.ny_tunnel[0].host(1),
                               .remote_prefix = s.plan.ny_tunnel[0],
                               .udp_src_port = 49153});
-  la.add_peer_prefix(s.plan.ny_hosts);
-  la.set_active_path(1);
+  la.add_peer_prefix(s.plan.ny_hosts, kServerNy);
+  la.set_active_path(kServerNy, 1);
   ny.set_host_handler([](const net::Packet&, const std::optional<ReceiveInfo>&) {});
 
   // Genuine stream: 50 packets.

@@ -29,8 +29,8 @@ class SwitchTest : public ::testing::Test {
                                  .remote_endpoint = s_.plan.ny_tunnel[0].host(1),
                                  .remote_prefix = s_.plan.ny_tunnel[0],
                                  .udp_src_port = 49153});
-    la_.add_peer_prefix(s_.plan.ny_hosts);
-    la_.set_active_path(1);
+    la_.add_peer_prefix(s_.plan.ny_hosts, kServerNy);
+    la_.set_active_path(kServerNy, 1);
   }
 
   net::Packet to_peer(std::uint16_t dport = 2000) {
@@ -117,7 +117,7 @@ TEST_F(SwitchTest, BurstMatchesPerPacketSendsAndCountsMixedFates) {
 }
 
 TEST_F(SwitchTest, BurstWithNoUsableTunnelCountsDrops) {
-  la_.set_active_path(77);  // unknown tunnel: peer traffic has nowhere to go
+  la_.set_active_path(kServerNy, 77);  // unknown tunnel: peer traffic has nowhere to go
   std::vector<net::Packet> burst;
   burst.push_back(to_peer());
   burst.push_back(to_peer());
@@ -149,21 +149,21 @@ TEST_F(SwitchTest, NonPeerTrafficPassesThrough) {
 TEST_F(SwitchTest, NoActivePathDropsAndCounts) {
   TangoSwitch fresh{kServerLa, wan_, SwitchOptions{}};
   // Steal the attachment back for this test switch.
-  fresh.add_peer_prefix(s_.plan.ny_hosts);
+  fresh.add_peer_prefix(s_.plan.ny_hosts, kServerNy);
   fresh.send_from_host(to_peer());
   wan_.events().run_all();
   EXPECT_EQ(fresh.no_tunnel_drops(), 1u);
 }
 
 TEST_F(SwitchTest, UnknownActivePathCountsAsNoTunnel) {
-  la_.set_active_path(77);
+  la_.set_active_path(kServerNy, 77);
   la_.send_from_host(to_peer());
   wan_.events().run_all();
   EXPECT_EQ(la_.no_tunnel_drops(), 1u);
 }
 
-TEST_F(SwitchTest, SelectorOverridesActivePath) {
-  // Application-specific routing (§3): the selector steers by inner dport.
+TEST_F(SwitchTest, RouteFnOverridesActivePath) {
+  // Application-specific routing (§3): the route hook steers by inner dport.
   la_.tunnels().install(Tunnel{.id = 2,
                                .label = "Telia",
                                .local_endpoint = s_.plan.la_tunnel[1].host(1),
@@ -174,25 +174,31 @@ TEST_F(SwitchTest, SelectorOverridesActivePath) {
                           bgp::CommunitySet{bgp::action::do_not_announce_to(kAsnNtt)});
   wan_.sync_fibs();
 
-  la_.set_selector([](const net::Packet& inner) -> std::optional<PathId> {
-    net::ByteReader r{inner.payload()};
-    const auto udp = net::UdpHeader::parse(r);
-    if (udp && udp->dst_port == 5555) return PathId{2};  // latency-critical app
-    return std::nullopt;                         // default path otherwise
-  });
+  std::vector<bgp::RouterId> asked;
+  la_.set_route_fn(
+      [](void* ctx, const net::Packet& inner, bgp::RouterId peer, std::uint64_t,
+         sim::Time) -> TangoSwitch::RouteDecision {
+        static_cast<std::vector<bgp::RouterId>*>(ctx)->push_back(peer);
+        if (net::udp_dst_port(inner) == 5555) return {.primary = 2};  // latency-critical app
+        return {};  // no opinion: the peer's active path
+      },
+      &asked);
 
   std::vector<PathId> seen;
   ny_.set_host_handler([&](const net::Packet&, const std::optional<ReceiveInfo>& info) {
     if (info) seen.push_back(info->path);
   });
 
-  la_.send_from_host(to_peer(2000));  // selector declines -> active path 1
-  la_.send_from_host(to_peer(5555));  // selector picks path 2
+  la_.send_from_host(to_peer(2000));  // hook declines -> active path 1
+  la_.send_from_host(to_peer(5555));  // hook picks path 2
   wan_.events().run_all();
 
   // Telia (path 2) is faster toward NY, so it arrives first; compare as a set.
   std::sort(seen.begin(), seen.end());
   EXPECT_EQ(seen, (std::vector<PathId>{1, 2}));
+  EXPECT_EQ(asked, (std::vector<bgp::RouterId>{kServerNy, kServerNy}))
+      << "the hook is asked once per peer packet, with the matched peer";
+  EXPECT_EQ(la_.active_path(kServerNy), PathId{1}) << "the hook never moves the active path";
 }
 
 TEST_F(SwitchTest, MalformedHostPacketIgnored) {
@@ -211,8 +217,8 @@ TEST_F(SwitchTest, ClockOffsetsDoNotBreakRelativeComparison) {
   TangoSwitch ny2{kServerNy, wan2,
                   SwitchOptions{.clock = sim::NodeClock{-20 * sim::kMillisecond}}};
   la2.tunnels().install(*la_.tunnels().find(1));
-  la2.add_peer_prefix(s_.plan.ny_hosts);
-  la2.set_active_path(1);
+  la2.add_peer_prefix(s_.plan.ny_hosts, kServerNy);
+  la2.set_active_path(kServerNy, 1);
   ny2.set_host_handler([](const net::Packet&, const std::optional<ReceiveInfo>&) {});
 
   for (int i = 0; i < 20; ++i) la2.send_from_host(to_peer());
@@ -226,26 +232,23 @@ TEST_F(SwitchTest, ClockOffsetsDoNotBreakRelativeComparison) {
 }
 
 TEST_F(SwitchTest, ActivePathQueriesAreScopedToTheirPeer) {
-  // Regression: a single per-peer entry for a *specific* peer must not leak
-  // into the no-arg (default-peer) query, and vice versa.
+  // Each peer has its own entry: one peer's choice never answers another
+  // peer's query, and a peer with no entry has no active path at all.
   TangoSwitch sw{kServerLa, wan_, SwitchOptions{}};
-  const TangoSwitch::PeerId other_peer = kServerNy;
+  EXPECT_EQ(sw.active_path(kServerNy), std::nullopt);
 
-  sw.set_active_path(other_peer, 7);
-  EXPECT_EQ(sw.active_path(other_peer), PathId{7});
-  EXPECT_EQ(sw.active_path(), std::nullopt)
-      << "an entry for another peer must not answer the default-peer query";
-  EXPECT_EQ(sw.active_path(TangoSwitch::kDefaultPeer), std::nullopt);
+  sw.set_active_path(kServerNy, 7);
+  EXPECT_EQ(sw.active_path(kServerNy), PathId{7});
+  EXPECT_EQ(sw.active_path(kServerCh), std::nullopt)
+      << "an entry for another peer must not answer this peer's query";
 
-  // An entry keyed by kDefaultPeer does satisfy the no-arg query.
-  sw.set_active_path(TangoSwitch::kDefaultPeer, 3);
-  EXPECT_EQ(sw.active_path(), PathId{3});
-  EXPECT_EQ(sw.active_path(other_peer), PathId{7});
+  sw.set_active_path(kServerCh, 3);
+  EXPECT_EQ(sw.active_path(kServerCh), PathId{3});
+  EXPECT_EQ(sw.active_path(kServerNy), PathId{7}) << "setting one peer leaves the other";
 
-  // The one-arg setter forces every peer onto the path.
-  sw.set_active_path(9);
-  EXPECT_EQ(sw.active_path(), PathId{9});
-  EXPECT_EQ(sw.active_path(other_peer), PathId{9});
+  sw.set_active_path(kServerNy, 9);
+  EXPECT_EQ(sw.active_path(kServerNy), PathId{9});
+  EXPECT_EQ(sw.active_path(kServerCh), PathId{3});
 }
 
 }  // namespace

@@ -34,8 +34,8 @@ class SwitchMalformedTest : public ::testing::Test {
                                  .remote_endpoint = s_.plan.ny_tunnel[0].host(1),
                                  .remote_prefix = s_.plan.ny_tunnel[0],
                                  .udp_src_port = 49153});
-    la_.add_peer_prefix(s_.plan.ny_hosts);
-    la_.set_active_path(1);
+    la_.add_peer_prefix(s_.plan.ny_hosts, kServerNy);
+    la_.set_active_path(kServerNy, 1);
     ny_.set_host_handler([this](const net::Packet& p, const std::optional<ReceiveInfo>& info) {
       delivered_.emplace_back(p, info);
     });

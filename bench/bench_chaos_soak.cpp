@@ -24,8 +24,8 @@
 //       prevented — is at least *detected* through sequence gaps.
 //
 // TANGO_BENCH_QUICK=1 shrinks the soak for CI (same invariants, fewer
-// faults).  Results go to stdout and the BENCH_chaos detail JSON, plus a
-// one-line run record appended to BENCH_chaos.json at the repo root.
+// faults).  Results go to stdout and to BENCH_chaos.json in the working
+// directory.
 #include <array>
 #include <chrono>
 #include <cstdio>
@@ -872,30 +872,7 @@ int run(std::uint64_t seed, sim::Time total) {
   emit_result(w, "keyed_report_suppression", adversarial.starved);
   w.field("invariant_violations", static_cast<std::uint64_t>(violations));
   w.end_object();
-  const auto path = detail_report_path("BENCH_chaos");
-  w.write_file(path);
-  std::printf("wrote %s\n", path.string().c_str());
-
-  char record[768];
-  std::snprintf(record, sizeof record,
-                "    {\"sha\": \"%s\", \"date\": \"%s\", \"seed\": %llu, \"faults\": %zu, "
-                "\"traffic_delivered\": %llu, \"quarantines\": %llu, \"recoveries\": %llu, "
-                "\"max_unusable_streak\": %d, \"pkts_per_sec\": %.0f, \"deterministic\": %s, "
-                "\"fib_sync_deterministic\": %s, "
-                "\"policy_engine_deterministic\": %s, \"adversarially_resilient\": %s, "
-                "\"violations\": %d}",
-                git_head_sha().c_str(), utc_timestamp().c_str(),
-                static_cast<unsigned long long>(seed), schedule.size(),
-                static_cast<unsigned long long>(wheel.traffic_la + wheel.traffic_ny),
-                static_cast<unsigned long long>(wheel.quarantines),
-                static_cast<unsigned long long>(wheel.recoveries), wheel.max_unusable_streak,
-                wheel.pkts_per_sec, wheel.digest == heap.digest ? "true" : "false",
-                fib_sync_violations == 0 ? "true" : "false",
-                policy_violations == 0 ? "true" : "false",
-                adversarial.violations == 0 ? "true" : "false", violations);
-  if (append_run_history("BENCH_chaos", record)) {
-    std::printf("appended run record to <repo-root>/BENCH_chaos.json\n");
-  }
+  w.write_file("BENCH_chaos.json");
 
   // The snapshot rides along as a CI artifact either way; on a violation the
   // packet trace is the post-mortem — dump its retained tail to stderr.
@@ -915,7 +892,7 @@ int run(std::uint64_t seed, sim::Time total) {
 }
 
 /// `--policy-only`: just the I4-policy gate (failover-mode policy engine vs
-/// the bare baseline), no reports and no run history — the ctest gate that
+/// the bare baseline), no reports — the ctest gate that
 /// enabling the engine cannot perturb the soak.
 int run_policy_only(std::uint64_t seed, sim::Time total) {
   print_header("Chaos soak (policy-engine transparency gate)",
@@ -935,8 +912,8 @@ int run_policy_only(std::uint64_t seed, sim::Time total) {
 }
 
 /// `--adversarial-only`: just the I5 gate (keyed pairing under report
-/// forgery, data replay flood and report suppression), no reports and no
-/// run history — the ctest shape.
+/// forgery, data replay flood and report suppression), no reports — the
+/// ctest shape.
 int run_adversarial_only(std::uint64_t seed, sim::Time total) {
   print_header("Chaos soak (adversarial resilience gate)",
                "same fault schedule on a keyed pairing under report forgery, replay "
@@ -957,7 +934,7 @@ int run_adversarial_only(std::uint64_t seed, sim::Time total) {
 }
 
 /// `--fib-sync-only`: just the I4-fib gate (incremental FIB sync vs the
-/// full-rebuild oracle), no reports and no run history.
+/// full-rebuild oracle), no reports.
 int run_fib_sync_only(std::uint64_t seed, sim::Time total) {
   print_header("Chaos soak (incremental FIB sync gate)",
                "incremental vs full-rebuild FIB sync; "

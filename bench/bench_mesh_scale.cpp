@@ -24,13 +24,13 @@
 // per-peer policy under host traffic and control-plane churn.  Gates:
 // path ids verified disjoint and compact (the old fixed-stride scheme
 // wrapped the 16-bit space at 65 sites), every direction discovers a path,
-// no data loss, and the discovery-cost metrics (convergence runs, BGP
-// messages) land in the committed run record for ci/bench_regression.py.
+// no data loss, and discovery costs its closed form: one convergence run per
+// work-queue round plus a flush, and at most one round per prefix of the
+// largest pool slice plus the termination probe.
 //
 // TANGO_BENCH_QUICK=1 shrinks the mesh and round counts for CI (digest
 // checks keep their teeth; the 5x gate applies only at full scale).
-// Results go to stdout and the BENCH_mesh detail JSON, plus a one-line run
-// record appended to BENCH_mesh.json at the repo root.
+// Results go to stdout and to BENCH_mesh.json in the working directory.
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -211,10 +211,8 @@ struct TangoScale {
 TangoScale pick_tango_scale() {
   TangoScale t;
   if (quick_mode()) {
-    // 8 sites, still one-prefix slices: the work-queue's convergence-run
-    // count stays scale-independent (rounds + flush), so the quick run's
-    // tango_establish_convergence_runs is directly comparable to the
-    // committed full-scale baseline.
+    // 8 sites, still one-prefix slices, so establish takes the same 3
+    // convergence runs over 2 rounds as the full-scale mesh.
     t.sites = 8;
     t.pool_per_site = 7;
     t.ticks = 6;
@@ -311,6 +309,20 @@ TangoResult run_tango_phase(std::uint64_t seed, const MeshScale& mesh_scale) {
   }
   if (pathless_directions > 0) {
     std::fprintf(stderr, "FAIL: E15 %zu directions discovered no path\n", pathless_directions);
+    ++r.violations;
+  }
+  // Each direction spends one work-queue round per prefix of its pool slice
+  // plus one termination probe, and every round shares one convergence run,
+  // with one more to flush.  A per-direction convergence leak breaks either.
+  const std::uint64_t max_pool_slice = (ts.pool_per_site + ts.sites - 2) / (ts.sites - 1);
+  if (r.convergence_runs != r.discovery_rounds + 1 ||
+      r.discovery_rounds > max_pool_slice + 1) {
+    std::fprintf(stderr,
+                 "FAIL: E15 establish took %llu convergence runs over %llu rounds; expected "
+                 "rounds + 1 runs and at most %llu rounds (largest pool slice + 1)\n",
+                 static_cast<unsigned long long>(r.convergence_runs),
+                 static_cast<unsigned long long>(r.discovery_rounds),
+                 static_cast<unsigned long long>(max_pool_slice + 1));
     ++r.violations;
   }
   std::printf("establish: %zu directions, %zu paths in %.0f ms "
@@ -573,30 +585,7 @@ int run(std::uint64_t seed) {
   w.end_object();
   w.field("violations", static_cast<std::uint64_t>(violations));
   w.end_object();
-  const auto path = detail_report_path("BENCH_mesh");
-  w.write_file(path);
-  std::printf("wrote %s\n", path.string().c_str());
-
-  char record[1024];
-  std::snprintf(record, sizeof record,
-                "    {\"sha\": \"%s\", \"date\": \"%s\", \"seed\": %llu, \"routers\": %zu, "
-                "\"prefixes\": %zu, \"convergence_ms\": %.3f, \"churn_pkts_per_sec\": %.0f, "
-                "\"sync_speedup\": %.2f, \"digests_equal\": %s, \"tango_sites\": %zu, "
-                "\"tango_paths\": %zu, \"tango_establish_ms\": %.1f, "
-                "\"tango_establish_convergence_runs\": %llu, "
-                "\"tango_establish_bgp_messages\": %llu, \"tango_reports_per_sec\": %.0f, "
-                "\"tango_pairing_state_kb\": %.1f, \"violations\": %d}",
-                git_head_sha().c_str(), utc_timestamp().c_str(),
-                static_cast<unsigned long long>(seed), mesh.routers(),
-                mesh.originations.size(), convergence_ms, traffic.pkts_per_sec, speedup,
-                stats.digest_mismatches == 0 ? "true" : "false", tango.sites, tango.paths,
-                tango.establish_ms,
-                static_cast<unsigned long long>(tango.convergence_runs),
-                static_cast<unsigned long long>(tango.bgp_messages), tango.reports_per_sec,
-                static_cast<double>(tango.pairing_state_bytes) / 1024.0, violations);
-  if (append_run_history("BENCH_mesh", record)) {
-    std::printf("appended run record to <repo-root>/BENCH_mesh.json\n");
-  }
+  w.write_file("BENCH_mesh.json");
 
   if (violations > 0) return 1;
   std::printf("mesh-scale churn passed (%llu digest checks, %.1fx sync speedup)\n",

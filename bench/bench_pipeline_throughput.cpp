@@ -1,28 +1,27 @@
-// E11: data-plane throughput and allocation budget.
+// E11: data-plane wire format, allocation budget and scheduler choice.
 //
-// Two measurements, one binary:
+// Three checks, one binary:
 //
-//  1. Encap/decap microbench — the seed's copying implementation (ByteWriter
+//  1. Encap/decap cycle — the seed's copying implementation (ByteWriter
 //     per header stack, owning inner copy on decap) against the headroom
-//     fast path (prepend into reserved headroom, zero-copy view + trim),
-//     with wire output asserted byte-identical first.
-//  2. Pipeline throughput — N concurrent flows pushed through the full
-//     LA<->NY Vultr testbed (encap, WAN forwarding, ECMP, decap), measuring
-//     delivered packets per wall-clock second and steady-state heap
-//     allocations per packet.
+//     fast path (prepend into reserved headroom, zero-copy view + trim):
+//     wire output must be byte-identical and the fast path must make at
+//     most half the legacy heap allocations.
+//  2. Pipeline — N concurrent flows pushed through the full LA<->NY Vultr
+//     testbed (encap, WAN forwarding, ECMP, decap), plain and with the
+//     weighted flowlet policy: traffic must be delivered and the flowlet
+//     split path must allocate nothing in steady state.
 //  3. Scale scenario — 64 flows, >=1M packets injected in bursts at line
 //     rate (tens of thousands of events in flight), run once per scheduler
-//     backend.  The timing wheel must beat the binary-heap baseline by
-//     >=1.3x delivered pkts/sec; FIB flow-cache hit rate is reported.
-//  4. Scheduler microbench — self-perpetuating no-op events through a bare
-//     EventQueue per backend: pure schedule+dispatch ns/event.
+//     backend.  Both must deliver the same packets, and the timing wheel
+//     must beat the binary-heap oracle by >=1.3x delivered pkts/sec in the
+//     same process; FIB flow-cache hit rate is reported.
 //
 // Heap allocations are counted by overriding global operator new/delete in
-// this binary.  Results go to stdout and the BENCH_dataplane detail JSON,
-// and a one-line run record (git SHA, date, headline numbers) is appended
-// to BENCH_dataplane.json at the repo root.  The process exits nonzero if
-// the shape checks fail.  TANGO_BENCH_QUICK=1 shrinks every iteration count
-// for CI smoke runs (same checks, smaller samples).
+// this binary.  Results go to stdout and to BENCH_dataplane.json in the
+// working directory.  The process exits nonzero if a check fails.
+// TANGO_BENCH_QUICK=1 shrinks every iteration count for CI smoke runs (same
+// checks, smaller samples).
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -84,28 +83,19 @@ namespace {
 using Clock = std::chrono::steady_clock;
 
 struct Counted {
-  double ns_per_packet = 0;
   double allocs_per_packet = 0;
   double bytes_per_packet = 0;
 };
 
 template <class Fn>
-Counted measure(std::size_t iterations, Fn&& fn) {
+Counted count_allocs(std::size_t iterations, Fn&& fn) {
   g_allocs = 0;
   g_alloc_bytes = 0;
   g_counting = true;
-  const auto t0 = Clock::now();
   for (std::size_t i = 0; i < iterations; ++i) fn(i);
-  const auto t1 = Clock::now();
   g_counting = false;
   const double n = static_cast<double>(iterations);
-  return Counted{
-      static_cast<double>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count()) /
-          n,
-      static_cast<double>(g_allocs) / n,
-      static_cast<double>(g_alloc_bytes) / n,
-  };
+  return Counted{static_cast<double>(g_allocs) / n, static_cast<double>(g_alloc_bytes) / n};
 }
 
 // --- Seed-replica legacy path ----------------------------------------------
@@ -163,7 +153,7 @@ net::Packet legacy_encapsulate_tango(const net::Packet& inner, const net::Ipv6Ad
   return net::Packet{std::move(w).take()};
 }
 
-// --- Microbench -------------------------------------------------------------
+// --- Encap/decap cycle -------------------------------------------------------
 
 struct MicroResult {
   Counted legacy;
@@ -178,7 +168,7 @@ MicroResult run_micro(std::size_t iterations) {
   const std::vector<std::uint8_t> payload(512, 0x5A);
   const net::TangoHeader tango{.path_id = 3, .tx_time_ns = 123456789, .sequence = 42};
 
-  // Byte-identical check before timing anything.
+  // Byte-identical check before counting anything.
   {
     const net::Packet inner = legacy_make_udp_packet(src, dst, 4000, 9, payload);
     const net::Packet legacy_wire = legacy_encapsulate_tango(inner, tun_src, tun_dst, 40001, tango);
@@ -203,7 +193,7 @@ MicroResult run_micro(std::size_t iterations) {
   MicroResult result;
 
   // Legacy cycle: build inner, copy-encapsulate, copy-decapsulate.
-  result.legacy = measure(iterations, [&](std::size_t i) {
+  result.legacy = count_allocs(iterations, [&](std::size_t i) {
     net::TangoHeader hdr = tango;
     hdr.sequence = i;
     const net::Packet inner = legacy_make_udp_packet(src, dst, 4000, 9, payload);
@@ -226,19 +216,16 @@ MicroResult run_micro(std::size_t iterations) {
     pool.release(std::move(p).release_buffer());
   };
   fast_cycle(0);
-  result.fast = measure(iterations, fast_cycle);
+  result.fast = count_allocs(iterations, fast_cycle);
   return result;
 }
 
-// --- Pipeline throughput -----------------------------------------------------
+// --- Pipeline ----------------------------------------------------------------
 
 struct PipelineResult {
   std::size_t flows = 0;
   std::uint64_t sent = 0;
   std::uint64_t delivered = 0;
-  double wall_seconds = 0;
-  double pkts_per_sec = 0;
-  double ns_per_packet = 0;
   double allocs_per_packet = 0;
   double pool_hit_rate = 0;
   std::uint64_t weighted_decisions = 0;  ///< engine decisions (weighted variant only)
@@ -252,7 +239,7 @@ struct PipelineResult {
 /// flowlet gap, so each packet starts a fresh flowlet — the worst case for
 /// the allocation gate, since the pick logic runs every time.
 PipelineResult run_pipeline(std::uint64_t seed, std::size_t flows, std::size_t rounds,
-                            std::size_t warmup_rounds, bool weighted_policy = false) {
+                            bool weighted_policy = false) {
   Testbed tb{seed, /*keep_series=*/false};
   const std::vector<std::uint8_t> payload(512, 0x42);
 
@@ -292,8 +279,10 @@ PipelineResult run_pipeline(std::uint64_t seed, std::size_t flows, std::size_t r
   };
 
   // Warmup: fills the buffer pool, grows the event queue, touches every
-  // code path once.  Not counted.
-  for (std::size_t r = 0; r < warmup_rounds; ++r) send_round();
+  // code path once.  Not counted.  It lasts as long as the measured phase:
+  // the timing wheel grows its chunk pool once, at its first cascade from
+  // the 4.3 s level, and 200 rounds of ~37 ms reach that level.
+  for (std::size_t r = 0; r < rounds; ++r) send_round();
 
   const std::uint64_t sent_before = result.sent;
   const std::uint64_t delivered_before = tb.wan.delivered();
@@ -305,20 +294,11 @@ PipelineResult run_pipeline(std::uint64_t seed, std::size_t flows, std::size_t r
 #ifdef TANGO_ALLOC_TRACE
   ::g_trace_armed = true;
 #endif
-  const auto t0 = Clock::now();
   for (std::size_t r = 0; r < rounds; ++r) send_round();
-  const auto t1 = Clock::now();
   g_counting = false;
 
   const std::uint64_t measured_sent = result.sent - sent_before;
   result.delivered = tb.wan.delivered() - delivered_before;
-  result.wall_seconds =
-      std::chrono::duration_cast<std::chrono::duration<double>>(t1 - t0).count();
-  result.pkts_per_sec =
-      result.wall_seconds > 0 ? static_cast<double>(result.delivered) / result.wall_seconds : 0;
-  result.ns_per_packet = measured_sent > 0
-                             ? result.wall_seconds * 1e9 / static_cast<double>(measured_sent)
-                             : 0;
   result.allocs_per_packet =
       measured_sent > 0 ? static_cast<double>(g_allocs) / static_cast<double>(measured_sent) : 0;
   const std::uint64_t pool_ops =
@@ -410,54 +390,10 @@ ScaleResult run_scale(std::uint64_t seed, std::size_t flows, std::size_t rounds,
   return result;
 }
 
-// --- Scheduler microbench ----------------------------------------------------
-
-struct SchedResult {
-  std::uint64_t events = 0;
-  double ns_per_event = 0;
-};
-
-SchedResult run_scheduler_micro(sim::EventQueue::Backend backend, std::uint64_t budget) {
-  sim::EventQueue q{backend};
-  // Self-perpetuating no-op events: each execution schedules one successor at
-  // a pseudo-random link-scale delay, holding a fixed population in flight.
-  // Measures pure schedule+dispatch cost with zero packet work.
-  struct Hop {
-    sim::EventQueue* q;
-    std::uint64_t* state;
-    std::uint64_t* budget;
-    void operator()() const {
-      if (*budget == 0) return;
-      --*budget;
-      *state = *state * 6364136223846793005ull + 1442695040888963407ull;
-      const auto delay = static_cast<sim::Time>(1 + (*state >> 33) % (40 * sim::kMillisecond));
-      q->schedule_in(delay, Hop{*this});
-    }
-  };
-  std::uint64_t state = 0x243F6A8885A308D3ull;
-  constexpr std::size_t kInFlight = 4096;
-  for (std::size_t i = 0; i < kInFlight; ++i) {
-    state = state * 6364136223846793005ull + 1442695040888963407ull;
-    const auto delay = static_cast<sim::Time>(1 + (state >> 33) % (40 * sim::kMillisecond));
-    q.schedule_in(delay, Hop{&q, &state, &budget});
-  }
-  const auto t0 = Clock::now();
-  q.run_all();
-  const auto t1 = Clock::now();
-  SchedResult result;
-  result.events = q.executed();
-  const double wall =
-      std::chrono::duration_cast<std::chrono::duration<double>>(t1 - t0).count();
-  result.ns_per_event =
-      result.events > 0 ? wall * 1e9 / static_cast<double>(result.events) : 0;
-  return result;
-}
-
 // --- Reporting ---------------------------------------------------------------
 
 void emit_counted(JsonWriter& w, const char* key, const Counted& c) {
   w.begin_object(key)
-      .field("ns_per_packet", c.ns_per_packet, 1)
       .field("allocs_per_packet", c.allocs_per_packet, 2)
       .field("alloc_bytes_per_packet", c.bytes_per_packet, 1)
       .end_object();
@@ -477,8 +413,7 @@ void emit_scale(JsonWriter& w, const char* key, const ScaleResult& s) {
 
 void write_detail_json(const MicroResult& micro, const PipelineResult& pipe,
                        const PipelineResult& pipe_weighted, const ScaleResult& wheel,
-                       const ScaleResult& heap, const SchedResult& sched_wheel,
-                       const SchedResult& sched_heap) {
+                       const ScaleResult& heap) {
   JsonWriter w;
   w.begin_object();
 
@@ -490,18 +425,12 @@ void write_detail_json(const MicroResult& micro, const PipelineResult& pipe,
               ? micro.legacy.allocs_per_packet / micro.fast.allocs_per_packet
               : micro.legacy.allocs_per_packet,
           1);
-  w.field("speedup",
-          micro.fast.ns_per_packet > 0 ? micro.legacy.ns_per_packet / micro.fast.ns_per_packet
-                                       : 0.0,
-          2);
   w.end_object();
 
   w.begin_object("pipeline")
       .field("flows", pipe.flows)
       .field("packets_sent", pipe.sent)
       .field("packets_delivered", pipe.delivered)
-      .field("pkts_per_sec", pipe.pkts_per_sec, 0)
-      .field("ns_per_packet", pipe.ns_per_packet, 1)
       .field("allocs_per_packet", pipe.allocs_per_packet, 3)
       .field("pool_hit_rate", pipe.pool_hit_rate, 3)
       .end_object();
@@ -510,7 +439,6 @@ void write_detail_json(const MicroResult& micro, const PipelineResult& pipe,
       .field("flows", pipe_weighted.flows)
       .field("packets_sent", pipe_weighted.sent)
       .field("packets_delivered", pipe_weighted.delivered)
-      .field("pkts_per_sec", pipe_weighted.pkts_per_sec, 0)
       .field("allocs_per_packet", pipe_weighted.allocs_per_packet, 3)
       .field("weighted_decisions", pipe_weighted.weighted_decisions)
       .field("flowlets_started", pipe_weighted.flowlets_started)
@@ -524,44 +452,8 @@ void write_detail_json(const MicroResult& micro, const PipelineResult& pipe,
           heap.pkts_per_sec > 0 ? wheel.pkts_per_sec / heap.pkts_per_sec : 0.0, 2);
   w.end_object();
 
-  w.begin_object("scheduler");
-  w.begin_object("timing_wheel")
-      .field("events", sched_wheel.events)
-      .field("ns_per_event", sched_wheel.ns_per_event, 1)
-      .end_object();
-  w.begin_object("binary_heap")
-      .field("events", sched_heap.events)
-      .field("ns_per_event", sched_heap.ns_per_event, 1)
-      .end_object();
   w.end_object();
-
-  w.end_object();
-  const auto path = detail_report_path("BENCH_dataplane");
-  w.write_file(path);
-  std::printf("wrote %s\n", path.string().c_str());
-}
-
-void append_history(const ScaleResult& wheel, const ScaleResult& heap,
-                    const SchedResult& sched_wheel, const SchedResult& sched_heap,
-                    const PipelineResult& pipe, const PipelineResult& pipe_weighted) {
-  char record[768];
-  std::snprintf(
-      record, sizeof record,
-      "    {\"sha\": \"%s\", \"date\": \"%s\", \"scale_flows\": %zu, "
-      "\"scale_packets\": %llu, \"wheel_pkts_per_sec\": %.0f, \"heap_pkts_per_sec\": %.0f, "
-      "\"wheel_speedup\": %.2f, \"wheel_ns_per_event\": %.1f, \"heap_ns_per_event\": %.1f, "
-      "\"fib_cache_hit_rate\": %.4f, \"pipeline_pkts_per_sec\": %.0f, "
-      "\"pipeline_allocs_per_packet\": %.3f, \"pipeline_weighted_pkts_per_sec\": %.0f, "
-      "\"pipeline_weighted_allocs_per_packet\": %.3f}",
-      git_head_sha().c_str(), utc_timestamp().c_str(), wheel.flows,
-      static_cast<unsigned long long>(wheel.sent), wheel.pkts_per_sec, heap.pkts_per_sec,
-      heap.pkts_per_sec > 0 ? wheel.pkts_per_sec / heap.pkts_per_sec : 0.0,
-      sched_wheel.ns_per_event, sched_heap.ns_per_event, wheel.fib_cache_hit_rate,
-      pipe.pkts_per_sec, pipe.allocs_per_packet, pipe_weighted.pkts_per_sec,
-      pipe_weighted.allocs_per_packet);
-  if (append_run_history("BENCH_dataplane", record)) {
-    std::printf("appended run record to <repo-root>/BENCH_dataplane.json\n");
-  }
+  w.write_file("BENCH_dataplane.json");
 }
 
 struct Config {
@@ -571,57 +463,40 @@ struct Config {
   std::size_t rounds = 200;
   std::size_t scale_flows = 64;
   std::size_t scale_rounds = 16000;  // x64 flows ~= 1.02M packets
-  std::uint64_t sched_events = 1'000'000;
 };
 
 int run(const Config& cfg) {
-  print_header("E11: data-plane throughput",
-               "encap/decap allocation budget + full-testbed pkts/sec + "
-               "timing-wheel vs heap scheduler",
+  print_header("E11: data-plane wire format and allocation budget",
+               "byte-identical encap + allocs/packet + timing-wheel vs heap scheduler",
                cfg.seed);
 
   const MicroResult micro = run_micro(cfg.micro_iters);
   std::printf("encap/decap cycle (%zu iterations, 512 B payload):\n", cfg.micro_iters);
-  std::printf("  %-10s %10s %16s %18s\n", "variant", "ns/packet", "allocs/packet",
-              "alloc bytes/packet");
-  std::printf("  %-10s %10.1f %16.2f %18.1f\n", "legacy", micro.legacy.ns_per_packet,
-              micro.legacy.allocs_per_packet, micro.legacy.bytes_per_packet);
-  std::printf("  %-10s %10.1f %16.2f %18.1f\n", "fastpath", micro.fast.ns_per_packet,
-              micro.fast.allocs_per_packet, micro.fast.bytes_per_packet);
+  std::printf("  %-10s %16s %18s\n", "variant", "allocs/packet", "alloc bytes/packet");
+  std::printf("  %-10s %16.2f %18.1f\n", "legacy", micro.legacy.allocs_per_packet,
+              micro.legacy.bytes_per_packet);
+  std::printf("  %-10s %16.2f %18.1f\n", "fastpath", micro.fast.allocs_per_packet,
+              micro.fast.bytes_per_packet);
   std::printf("  wire output: byte-identical (checked)\n\n");
 
-  const PipelineResult pipe = run_pipeline(cfg.seed, cfg.flows, cfg.rounds, /*warmup_rounds=*/20);
+  const PipelineResult pipe = run_pipeline(cfg.seed, cfg.flows, cfg.rounds);
   std::printf("pipeline (%zu flows LA->NY through the Vultr testbed):\n", pipe.flows);
-  std::printf("  sent=%llu delivered=%llu wall=%.3fs\n",
-              static_cast<unsigned long long>(pipe.sent),
-              static_cast<unsigned long long>(pipe.delivered), pipe.wall_seconds);
-  std::printf("  %.0f pkts/sec, %.1f ns/packet end-to-end\n", pipe.pkts_per_sec,
-              pipe.ns_per_packet);
+  std::printf("  sent=%llu delivered=%llu\n", static_cast<unsigned long long>(pipe.sent),
+              static_cast<unsigned long long>(pipe.delivered));
   std::printf("  %.3f heap allocs/packet steady-state, pool hit rate %.1f%%\n\n",
               pipe.allocs_per_packet, 100.0 * pipe.pool_hit_rate);
 
   const PipelineResult pipe_weighted =
-      run_pipeline(cfg.seed, cfg.flows, cfg.rounds, /*warmup_rounds=*/20,
-                   /*weighted_policy=*/true);
+      run_pipeline(cfg.seed, cfg.flows, cfg.rounds, /*weighted_policy=*/true);
   std::printf("pipeline + weighted flowlet policy (same workload, engine in weighted mode):\n");
-  std::printf("  sent=%llu delivered=%llu, %.0f pkts/sec\n",
+  std::printf("  sent=%llu delivered=%llu\n",
               static_cast<unsigned long long>(pipe_weighted.sent),
-              static_cast<unsigned long long>(pipe_weighted.delivered),
-              pipe_weighted.pkts_per_sec);
+              static_cast<unsigned long long>(pipe_weighted.delivered));
   std::printf("  %.3f heap allocs/packet on the flowlet split path "
               "(%llu weighted decisions, %llu flowlets)\n\n",
               pipe_weighted.allocs_per_packet,
               static_cast<unsigned long long>(pipe_weighted.weighted_decisions),
               static_cast<unsigned long long>(pipe_weighted.flowlets_started));
-
-  const SchedResult sched_heap =
-      run_scheduler_micro(sim::EventQueue::Backend::binary_heap, cfg.sched_events);
-  const SchedResult sched_wheel =
-      run_scheduler_micro(sim::EventQueue::Backend::timing_wheel, cfg.sched_events);
-  std::printf("scheduler microbench (%llu self-perpetuating events, 4096 in flight):\n",
-              static_cast<unsigned long long>(sched_wheel.events));
-  std::printf("  binary_heap  %8.1f ns/event\n", sched_heap.ns_per_event);
-  std::printf("  timing_wheel %8.1f ns/event\n\n", sched_wheel.ns_per_event);
 
   const ScaleResult heap =
       run_scale(cfg.seed, cfg.scale_flows, cfg.scale_rounds, sim::EventQueue::Backend::binary_heap);
@@ -641,8 +516,7 @@ int run(const Config& cfg) {
   std::printf("  wheel speedup %.2fx, FIB flow-cache hit rate %.1f%%\n\n", speedup,
               100.0 * wheel.fib_cache_hit_rate);
 
-  write_detail_json(micro, pipe, pipe_weighted, wheel, heap, sched_wheel, sched_heap);
-  append_history(wheel, heap, sched_wheel, sched_heap, pipe, pipe_weighted);
+  write_detail_json(micro, pipe, pipe_weighted, wheel, heap);
 
   // Shape checks (the acceptance criteria for this bench).
   bool ok = true;
@@ -691,8 +565,9 @@ int run(const Config& cfg) {
   }
   if (!ok) return 1;
   std::printf(
-      "shape checks passed (fast path <= legacy/2 allocs, flowlet split path "
-      "zero-alloc, traffic delivered, wheel >= 1.3x heap)\n");
+      "shape checks passed (byte-identical wire, fast path <= legacy/2 allocs, flowlet "
+      "split path zero-alloc, traffic delivered, equal wheel/heap delivery, wheel >= 1.3x "
+      "heap)\n");
   return 0;
 }
 
@@ -709,7 +584,6 @@ int main(int argc, char** argv) {
     cfg.micro_iters = 2000;
     cfg.rounds = 40;
     cfg.scale_rounds = 4800;
-    cfg.sched_events = 100'000;
   }
   if (argc > 1) cfg.seed = std::strtoull(argv[1], nullptr, 10);
   if (argc > 2) cfg.micro_iters = std::strtoull(argv[2], nullptr, 10);

@@ -17,10 +17,10 @@
 // gets a 1200 pkt/s capacity with a 30 ms queue and 1% steady loss, and the
 // offered ~2000 pkt/s overwhelms any single path while fitting comfortably in
 // the aggregate — the regime where weighted splitting buys goodput and
-// hedging buys the loss-sensitive class its tail.  Results go to the
-// BENCH_policy detail JSON plus a run record appended to BENCH_policy.json
-// at the repo root; the process exits nonzero when the expected dominance
-// (weighted goodput > failover; hedged sensitive p99/loss < failover) fails.
+// hedging buys the loss-sensitive class its tail.  Results go to
+// BENCH_policy.json in the working directory; the process exits nonzero when
+// the expected dominance (weighted goodput > failover; hedged sensitive
+// p99/loss < failover) fails.
 // TANGO_BENCH_QUICK=1 runs E16 on a shorter window (same gates); E7 runs in
 // both modes.
 #include <array>
@@ -400,7 +400,7 @@ int run_e16(std::uint64_t seed, bool quick) {
   std::printf("  * hedged duplicates the sensitive class on the two best paths: the\n");
   std::printf("    receiver keeps the first copy, so its loss and p99 collapse.\n\n");
 
-  // Gates (heavy_tail is the headline row the history tracks).
+  // Gates (heavy_tail is the headline row).
   const CellResult& fo = cells["heavy_tail"]["failover"];
   const CellResult& we = cells["heavy_tail"]["weighted"];
   const CellResult& he = cells["heavy_tail"]["hedged"];
@@ -451,27 +451,7 @@ int run_e16(std::uint64_t seed, bool quick) {
   }
   w.field("gate_violations", static_cast<std::uint64_t>(violations));
   w.end_object();
-  const auto path = detail_report_path("BENCH_policy");
-  w.write_file(path);
-  std::printf("wrote %s\n", path.string().c_str());
-
-  char record[640];
-  std::snprintf(
-      record, sizeof record,
-      "    {\"sha\": \"%s\", \"date\": \"%s\", \"seed\": %llu, \"workload_packets\": %llu, "
-      "\"heavy_tail_failover_goodput_pps\": %.0f, \"heavy_tail_weighted_goodput_pps\": %.0f, "
-      "\"heavy_tail_hedged_goodput_pps\": %.0f, "
-      "\"heavy_tail_failover_sensitive_p99_ms\": %.2f, "
-      "\"heavy_tail_hedged_sensitive_p99_ms\": %.2f, "
-      "\"heavy_tail_failover_sensitive_loss_pct\": %.3f, "
-      "\"heavy_tail_hedged_sensitive_loss_pct\": %.3f, \"gates_ok\": %s}",
-      git_head_sha().c_str(), utc_timestamp().c_str(), static_cast<unsigned long long>(seed),
-      static_cast<unsigned long long>(fo.app_sent), fo.goodput_pps, we.goodput_pps,
-      he.goodput_pps, fo.sensitive_p99_ms, he.sensitive_p99_ms, fo.sensitive_loss_pct,
-      he.sensitive_loss_pct, violations == 0 ? "true" : "false");
-  if (append_run_history("BENCH_policy", record)) {
-    std::printf("appended run record to <repo-root>/BENCH_policy.json\n");
-  }
+  w.write_file("BENCH_policy.json");
 
   if (violations > 0) return 1;
   std::printf("E16 gates passed (weighted > failover goodput; hedged < failover "

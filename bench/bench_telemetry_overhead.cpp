@@ -14,9 +14,8 @@
 // adjacent baseline/instrumented pair is the tightest upper bound on its
 // true cost, and one calm lap is enough to prove the budget holds even
 // when a noisy-neighbour lap inflates the others.  Results go to stdout and
-// BENCH_telemetry detail JSON, and a one-line run record is appended to
-// BENCH_telemetry.json at the repo root.  TANGO_BENCH_QUICK=1 shrinks the
-// laps for CI smoke runs (same gate).
+// to BENCH_telemetry.json in the working directory.  TANGO_BENCH_QUICK=1
+// shrinks the laps for CI smoke runs (same gate).
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -161,20 +160,7 @@ int run(const Config& cfg) {
       .end_object();
   w.field("overhead_pct", overhead_pct, 2).field("budget_pct", kMaxOverheadPct, 1);
   w.end_object();
-  const auto path = detail_report_path("BENCH_telemetry");
-  w.write_file(path);
-  std::printf("wrote %s\n", path.string().c_str());
-
-  char record[384];
-  std::snprintf(record, sizeof record,
-                "    {\"sha\": \"%s\", \"date\": \"%s\", \"baseline_pkts_per_sec\": %.0f, "
-                "\"instrumented_pkts_per_sec\": %.0f, \"overhead_pct\": %.2f, "
-                "\"instruments\": %zu}",
-                git_head_sha().c_str(), utc_timestamp().c_str(), best_base.pkts_per_sec,
-                best_inst.pkts_per_sec, overhead_pct, registry_size);
-  if (append_run_history("BENCH_telemetry", record)) {
-    std::printf("appended run record to <repo-root>/BENCH_telemetry.json\n");
-  }
+  w.write_file("BENCH_telemetry.json");
 
   // Shape checks: traffic flowed, both variants agree on delivery (the
   // instruments must not perturb the simulation), and the overhead budget.

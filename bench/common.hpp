@@ -2,12 +2,9 @@
 // a WAN, two Tango nodes, and helpers for probing and reporting.
 #pragma once
 
-#include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <ctime>
-#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -159,15 +156,16 @@ class JsonWriter {
 
   [[nodiscard]] std::string str() const { return out_.str() + "\n"; }
 
-  /// Writes the document to `path`; exits the bench on I/O failure so a
-  /// silent half-written report can never pass CI.
-  void write_file(const std::filesystem::path& path) const {
-    std::ofstream out{path};
+  /// Writes the document to `name` in the working directory; exits the
+  /// bench on I/O failure so a silent half-written report can never pass CI.
+  void write_file(const std::string& name) const {
+    std::ofstream out{name};
     out << str();
     if (!out) {
-      std::fprintf(stderr, "FAIL: cannot write %s\n", path.string().c_str());
+      std::fprintf(stderr, "FAIL: cannot write %s\n", name.c_str());
       std::exit(1);
     }
+    std::printf("wrote %s\n", name.c_str());
   }
 
  private:
@@ -202,100 +200,5 @@ class JsonWriter {
   int depth_ = 0;
   bool fresh_scope_ = true;
 };
-
-// --- Benchmark run history ---------------------------------------------------
-// Benches append one record per run (git SHA, date, headline metrics) to a
-// history file at the repo root, so the committed JSON carries the perf
-// trajectory across PRs instead of only the latest numbers.
-
-/// Nearest ancestor of the current directory containing `.git`; empty when
-/// the bench runs outside a checkout (extracted artifact, installed tree).
-inline std::filesystem::path find_repo_root() {
-  namespace fs = std::filesystem;
-  std::error_code ec;
-  for (fs::path dir = fs::current_path(ec); !dir.empty(); dir = dir.parent_path()) {
-    if (fs::exists(dir / ".git", ec)) return dir;
-    if (dir == dir.root_path()) break;
-  }
-  return {};
-}
-
-inline std::string git_head_sha() {
-  std::string sha;
-  if (std::FILE* p = ::popen("git rev-parse HEAD 2>/dev/null", "r")) {
-    char buf[64] = {};
-    if (std::fgets(buf, sizeof buf, p) != nullptr) {
-      sha.assign(buf);
-      while (!sha.empty() && (sha.back() == '\n' || sha.back() == '\r')) sha.pop_back();
-    }
-    ::pclose(p);
-  }
-  return sha.empty() ? "unknown" : sha;
-}
-
-inline std::string utc_timestamp() {
-  const std::time_t now = std::time(nullptr);
-  std::tm tm{};
-  gmtime_r(&now, &tm);
-  char buf[32];
-  std::strftime(buf, sizeof buf, "%Y-%m-%dT%H:%M:%SZ", &tm);
-  return buf;
-}
-
-/// The per-run detail report goes to the working directory — unless that *is*
-/// the repo root, where `<stem>.json` is the committed history; then the
-/// detail file steps aside to `<stem>.latest.json`.
-inline std::filesystem::path detail_report_path(const std::string& stem) {
-  namespace fs = std::filesystem;
-  std::error_code ec;
-  if (!find_repo_root().empty() && fs::equivalent(fs::current_path(ec), find_repo_root(), ec)) {
-    return stem + ".latest.json";
-  }
-  return stem + ".json";
-}
-
-/// Appends `record` (a serialized JSON object) to `{"runs": [...]}` in
-/// `<repo-root>/<stem>.json`.  Prior records are preserved verbatim.  Outside
-/// a checkout this is a no-op (nothing durable to append to); returns whether
-/// a record was written.
-inline bool append_run_history(const std::string& stem, const std::string& record) {
-  namespace fs = std::filesystem;
-  // Quick-mode numbers are measured at CI-smoke scale; appending them would
-  // corrupt trend comparisons against full-scale records, so they stay out
-  // of the committed history entirely.
-  if (quick_mode()) {
-    std::printf("quick mode: run record NOT appended to %s.json (history keeps full-scale runs)\n",
-                stem.c_str());
-    return false;
-  }
-  const fs::path root = find_repo_root();
-  if (root.empty()) return false;
-  const fs::path file = root / (stem + ".json");
-
-  std::string prior;
-  if (std::ifstream in{file}; in) {
-    std::ostringstream all;
-    all << in.rdbuf();
-    const std::string text = all.str();
-    const std::size_t open = text.find('[');
-    const std::size_t close = text.rfind(']');
-    if (open != std::string::npos && close != std::string::npos && close > open) {
-      prior = text.substr(open + 1, close - open - 1);
-      while (!prior.empty() && std::isspace(static_cast<unsigned char>(prior.back()))) {
-        prior.pop_back();
-      }
-    }
-  }
-
-  std::ofstream out{file, std::ios::trunc};
-  out << "{\n  \"runs\": [";
-  if (!prior.empty()) out << prior << ",";
-  out << "\n" << record << "\n  ]\n}\n";
-  if (!out) {
-    std::fprintf(stderr, "FAIL: cannot update %s\n", file.string().c_str());
-    std::exit(1);
-  }
-  return true;
-}
 
 }  // namespace tango::bench

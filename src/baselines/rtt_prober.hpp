@@ -38,8 +38,12 @@ class EchoResponder {
   using Passthrough = std::function<void(const net::Packet&,
                                          const std::optional<dataplane::ReceiveInfo>&)>;
 
-  /// Echoes return over the same path id they arrived on (the prober owns
-  /// per-path probing; responders stay path-transparent).
+  /// Echoes leave through `send_from_host`, so they ride the responder's
+  /// active path toward the prober, whatever path the probe took.  That is
+  /// the faithful model of a multihomed peer that does not cooperate: it
+  /// cannot see which path a probe used, so an RTT sample is forward path
+  /// plus the responder's reverse default.  E6's and E7's committed numbers
+  /// rest on this behaviour.
   EchoResponder(core::TangoNode& node, sim::Wan& wan, EdgeNoise noise, sim::Rng rng,
                 Passthrough passthrough = {});
 

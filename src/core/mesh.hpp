@@ -113,7 +113,7 @@ class TangoMesh {
   /// Estimated resident bytes of pairing state across every site: registry
   /// entries + reports, tunnel tables, sender/receiver per-path state,
   /// health entries, per-peer path lists.  Trend accounting for N-site
-  /// growth (BENCH_mesh pairing-memory metric), not exact heap usage.
+  /// growth (bench_mesh_scale's E15 pairing_state_kb), not exact heap usage.
   [[nodiscard]] std::size_t pairing_state_bytes() const;
 
  private:

@@ -27,7 +27,6 @@
 // faults).  Results go to stdout and to BENCH_chaos.json in the working
 // directory.
 #include <array>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -161,7 +160,6 @@ struct SoakResult {
   int max_unusable_streak = 0;
   std::uint64_t digest = 0;
   std::uint64_t fib_digest = 0;  ///< final FIB contents (incremental-vs-full oracle)
-  double pkts_per_sec = 0;  ///< WAN deliveries per wall-clock second (not in the digest)
   std::vector<std::uint64_t> buckets_la;
   std::vector<std::uint64_t> buckets_ny;
 };
@@ -458,12 +456,9 @@ SoakResult run_soak(std::uint64_t seed, sim::Time total, const std::vector<Fault
     tb.la.stop_probing();
     tb.ny.stop_probing();
   });
-  const auto wall_start = std::chrono::steady_clock::now();
   tb.wan.run_all();  // I1: completes without crashing or wedging
-  const std::chrono::duration<double> wall = std::chrono::steady_clock::now() - wall_start;
 
   r.wan_delivered = tb.wan.delivered();
-  if (wall.count() > 0) r.pkts_per_sec = static_cast<double>(tb.wan.delivered()) / wall.count();
   r.wan_dropped = tb.wan.total_dropped();
   r.switches = tb.la.path_switches() + tb.ny.path_switches();
   r.quarantines = tb.la.health().quarantines() + tb.ny.health().quarantines();
@@ -758,7 +753,6 @@ void emit_result(JsonWriter& w, const char* key, const SoakResult& r) {
       .field("forged_injected", r.forged_injected)
       .field("replay_injected", r.replay_injected)
       .field("replay_dropped", r.replay_rx_dropped)
-      .field("pkts_per_sec", r.pkts_per_sec, 0)
       .field("digest", r.digest)
       .end_object();
 }

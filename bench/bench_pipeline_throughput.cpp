@@ -12,16 +12,18 @@
 //     weighted flowlet policy: traffic must be delivered and the flowlet
 //     split path must allocate nothing in steady state.
 //  3. Scale scenario — 64 flows, >=1M packets injected in bursts at line
-//     rate (tens of thousands of events in flight), run once per scheduler
-//     backend.  Both must deliver the same packets, and the timing wheel
-//     must beat the binary-heap oracle by >=1.3x delivered pkts/sec in the
-//     same process; FIB flow-cache hit rate is reported.
+//     rate (tens of thousands of events in flight), run in five heap/wheel
+//     trial pairs, alternating which scheduler backend runs first.  Both
+//     backends must deliver the same packets in every pair, and the median
+//     wheel/heap ratio of delivered pkts/sec must be >=1.3x (one pair's
+//     ratio moves with host load); FIB flow-cache hit rate is reported.
 //
 // Heap allocations are counted by overriding global operator new/delete in
 // this binary.  Results go to stdout and to BENCH_dataplane.json in the
 // working directory.  The process exits nonzero if a check fails.
 // TANGO_BENCH_QUICK=1 shrinks every iteration count for CI smoke runs (same
 // checks, smaller samples).
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -411,9 +413,16 @@ void emit_scale(JsonWriter& w, const char* key, const ScaleResult& s) {
       .end_object();
 }
 
+/// One heap/wheel pair of the scale scenario.
+struct ScaleTrial {
+  ScaleResult heap;
+  ScaleResult wheel;
+  double speedup = 0;
+};
+
 void write_detail_json(const MicroResult& micro, const PipelineResult& pipe,
-                       const PipelineResult& pipe_weighted, const ScaleResult& wheel,
-                       const ScaleResult& heap) {
+                       const PipelineResult& pipe_weighted, const ScaleTrial& median,
+                       std::size_t trials) {
   JsonWriter w;
   w.begin_object();
 
@@ -445,11 +454,11 @@ void write_detail_json(const MicroResult& micro, const PipelineResult& pipe,
       .end_object();
 
   w.begin_object("scale");
-  w.field("flows", wheel.flows);
-  emit_scale(w, "timing_wheel", wheel);
-  emit_scale(w, "binary_heap", heap);
-  w.field("wheel_speedup",
-          heap.pkts_per_sec > 0 ? wheel.pkts_per_sec / heap.pkts_per_sec : 0.0, 2);
+  w.field("flows", median.wheel.flows);
+  w.field("trials", trials);
+  emit_scale(w, "timing_wheel", median.wheel);
+  emit_scale(w, "binary_heap", median.heap);
+  w.field("wheel_speedup_median", median.speedup, 2);
   w.end_object();
 
   w.end_object();
@@ -498,25 +507,49 @@ int run(const Config& cfg) {
               static_cast<unsigned long long>(pipe_weighted.weighted_decisions),
               static_cast<unsigned long long>(pipe_weighted.flowlets_started));
 
-  const ScaleResult heap =
-      run_scale(cfg.seed, cfg.scale_flows, cfg.scale_rounds, sim::EventQueue::Backend::binary_heap);
-  const ScaleResult wheel = run_scale(cfg.seed, cfg.scale_flows, cfg.scale_rounds,
-                                      sim::EventQueue::Backend::timing_wheel);
-  const double speedup = heap.pkts_per_sec > 0 ? wheel.pkts_per_sec / heap.pkts_per_sec : 0.0;
-  std::printf("scale scenario (%zu flows x %zu burst rounds, line-rate injection):\n",
-              cfg.scale_flows, cfg.scale_rounds);
-  std::printf("  %-12s %12s %12s %14s %10s\n", "backend", "delivered", "pkts/sec",
+  // One pair's ratio moves with host load (a shared 4-core Xeon VM read
+  // 1.33x right after 1.99x on the same code), so the gate reads the median
+  // of several pairs, alternating which backend runs first so neither
+  // always gets the warmer caches.
+  constexpr std::size_t kScaleTrials = 5;
+  std::printf("scale scenario (%zu flows x %zu burst rounds, line-rate injection, "
+              "%zu heap/wheel pairs):\n",
+              cfg.scale_flows, cfg.scale_rounds, kScaleTrials);
+  std::printf("  %-5s %-12s %12s %12s %14s %10s\n", "pair", "backend", "delivered", "pkts/sec",
               "events/sec", "wall");
-  std::printf("  %-12s %12llu %12.0f %14.0f %9.3fs\n", "binary_heap",
-              static_cast<unsigned long long>(heap.delivered), heap.pkts_per_sec,
-              heap.events_per_sec, heap.wall_seconds);
-  std::printf("  %-12s %12llu %12.0f %14.0f %9.3fs\n", "timing_wheel",
-              static_cast<unsigned long long>(wheel.delivered), wheel.pkts_per_sec,
-              wheel.events_per_sec, wheel.wall_seconds);
-  std::printf("  wheel speedup %.2fx, FIB flow-cache hit rate %.1f%%\n\n", speedup,
-              100.0 * wheel.fib_cache_hit_rate);
+  const auto print_row = [](std::size_t pair, const char* backend, const ScaleResult& r) {
+    std::printf("  %-5zu %-12s %12llu %12.0f %14.0f %9.3fs\n", pair, backend,
+                static_cast<unsigned long long>(r.delivered), r.pkts_per_sec, r.events_per_sec,
+                r.wall_seconds);
+  };
+  const auto scale = [&cfg](sim::EventQueue::Backend backend) {
+    return run_scale(cfg.seed, cfg.scale_flows, cfg.scale_rounds, backend);
+  };
+  std::vector<ScaleTrial> trials(kScaleTrials);
+  for (std::size_t t = 0; t < kScaleTrials; ++t) {
+    ScaleTrial& trial = trials[t];
+    if (t % 2 == 0) {
+      trial.heap = scale(sim::EventQueue::Backend::binary_heap);
+      trial.wheel = scale(sim::EventQueue::Backend::timing_wheel);
+    } else {
+      trial.wheel = scale(sim::EventQueue::Backend::timing_wheel);
+      trial.heap = scale(sim::EventQueue::Backend::binary_heap);
+    }
+    trial.speedup =
+        trial.heap.pkts_per_sec > 0 ? trial.wheel.pkts_per_sec / trial.heap.pkts_per_sec : 0.0;
+    print_row(t + 1, "binary_heap", trial.heap);
+    print_row(t + 1, "timing_wheel", trial.wheel);
+  }
+  std::vector<ScaleTrial> by_speedup = trials;
+  std::sort(by_speedup.begin(), by_speedup.end(),
+            [](const ScaleTrial& a, const ScaleTrial& b) { return a.speedup < b.speedup; });
+  const ScaleTrial& median = by_speedup[kScaleTrials / 2];
+  std::printf("  wheel speedup median %.2fx (min %.2fx, max %.2fx), FIB flow-cache hit rate "
+              "%.1f%%\n\n",
+              median.speedup, by_speedup.front().speedup, by_speedup.back().speedup,
+              100.0 * median.wheel.fib_cache_hit_rate);
 
-  write_detail_json(micro, pipe, pipe_weighted, wheel, heap);
+  write_detail_json(micro, pipe, pipe_weighted, median, kScaleTrials);
 
   // Shape checks (the acceptance criteria for this bench).
   bool ok = true;
@@ -548,26 +581,28 @@ int run(const Config& cfg) {
                  micro.fast.allocs_per_packet, micro.legacy.allocs_per_packet);
     ok = false;
   }
-  if (wheel.delivered != heap.delivered) {
-    std::fprintf(stderr,
-                 "FAIL: backends disagree on delivered packets (wheel %llu, heap %llu) — "
-                 "determinism broken\n",
-                 static_cast<unsigned long long>(wheel.delivered),
-                 static_cast<unsigned long long>(heap.delivered));
-    ok = false;
+  for (std::size_t t = 0; t < kScaleTrials; ++t) {
+    if (trials[t].wheel.delivered != trials[t].heap.delivered) {
+      std::fprintf(stderr,
+                   "FAIL: backends disagree on delivered packets in pair %zu (wheel %llu, "
+                   "heap %llu) — determinism broken\n",
+                   t + 1, static_cast<unsigned long long>(trials[t].wheel.delivered),
+                   static_cast<unsigned long long>(trials[t].heap.delivered));
+      ok = false;
+    }
   }
-  if (speedup < 1.3) {
+  if (median.speedup < 1.3) {
     std::fprintf(stderr,
-                 "FAIL: timing wheel %.0f pkts/sec vs heap %.0f (%.2fx) — "
+                 "FAIL: median timing wheel %.0f pkts/sec vs heap %.0f (%.2fx) — "
                  "regression gate requires >=1.3x\n",
-                 wheel.pkts_per_sec, heap.pkts_per_sec, speedup);
+                 median.wheel.pkts_per_sec, median.heap.pkts_per_sec, median.speedup);
     ok = false;
   }
   if (!ok) return 1;
   std::printf(
       "shape checks passed (byte-identical wire, fast path <= legacy/2 allocs, flowlet "
-      "split path zero-alloc, traffic delivered, equal wheel/heap delivery, wheel >= 1.3x "
-      "heap)\n");
+      "split path zero-alloc, traffic delivered, equal wheel/heap delivery, median wheel >= "
+      "1.3x heap)\n");
   return 0;
 }
 

@@ -89,9 +89,9 @@ class BgpNetwork {
   [[nodiscard]] std::uint64_t total_messages() const noexcept { return total_messages_; }
 
   /// Times run_to_convergence() has been entered.  Deltas of this counter
-  /// are the "convergence runs" cost metric: batched mesh discovery pays one
-  /// run per work-queue round where the sequential path pays one per
-  /// originate/withdraw.
+  /// are the "convergence runs" cost metric: discovery pays one run per
+  /// work-queue round plus a final flush, shared by every direction in the
+  /// queue.
   [[nodiscard]] std::uint64_t convergence_runs() const noexcept { return convergence_runs_; }
 
   /// Divergence guard: maximum messages per run_to_convergence call.

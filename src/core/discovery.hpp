@@ -11,6 +11,11 @@
 //
 // Each discovered path is pinned to its own prefix from the destination's
 // pool, so all paths stay simultaneously usable ("prefixes as routes", §3).
+//
+// There is one engine: a work-queue (discover_paths_batch) that advances any
+// number of directions one step per shared BGP convergence run.  A single
+// direction (discover_paths) is the work-queue with one entry, so the step
+// logic — record, suppress, terminate — exists exactly once.
 #pragma once
 
 #include <optional>
@@ -66,31 +71,27 @@ struct DiscoveryResult {
   /// True when the run ended because suppression exhausted every route
   /// (vs. running out of prefixes).
   bool exhausted = false;
-  /// BGP messages it cost (the control-plane overhead of discovery).
+  /// BGP messages it cost (the control-plane overhead of discovery), read
+  /// off the network's message counter by discover_paths.  Zero in results
+  /// of discover_paths_batch: a shared convergence run carries many
+  /// directions' updates, so batch callers diff the network counter
+  /// themselves.
   std::uint64_t bgp_messages = 0;
 };
 
-/// Runs discovery for one direction on a converged topology.  Mutates the
-/// control plane: on return the destination is left announcing one prefix
-/// per discovered path, each pinned by its community set — the steady state
-/// Tango operates in.  Path ids start at `first_id`.
+/// Runs discovery for one direction on a converged topology: the work-queue
+/// below with a single request.  Mutates the control plane: on return the
+/// destination is left announcing one prefix per discovered path, each
+/// pinned by its community set — the steady state Tango operates in.  Path
+/// ids run 1..k.
 [[nodiscard]] DiscoveryResult discover_paths(topo::Topology& topo,
-                                             const DiscoveryRequest& request,
-                                             PathId first_id = 1);
+                                             const DiscoveryRequest& request);
 
-/// Cost accounting for a batched discovery run (the control-plane price of
-/// establishing a whole mesh, the metric bench_mesh_scale E15 gates on).
+/// Cost accounting for a batched discovery run (bench_mesh_scale E15 gates
+/// on its closed form: convergence runs = rounds + 1, the final flush).
 struct BatchDiscoveryStats {
   /// Work-queue rounds (the longest direction's step count dominates).
   std::uint64_t rounds = 0;
-  /// Shared run_to_convergence() calls — one per round plus the final flush,
-  /// versus one per originate/withdraw in the sequential path.
-  std::uint64_t convergence_runs = 0;
-  /// Total BGP messages across the batch.  Message counts cannot be
-  /// attributed per direction here (a shared convergence run carries many
-  /// directions' updates), so per-result bgp_messages stays zero in batch
-  /// mode and this total is the authoritative figure.
-  std::uint64_t bgp_messages = 0;
 };
 
 /// Runs many discovery directions through a work-queue that interleaves
@@ -105,10 +106,10 @@ struct BatchDiscoveryStats {
 /// decision process is a total order over route attributes, not arrival
 /// order.  The per-direction results (paths, steps, exhaustion) are
 /// therefore identical to calling discover_paths() once per request in
-/// sequence; only the number of convergence runs changes (O(max steps)
-/// instead of O(total steps)).  Path ids are assigned per direction starting
-/// at 1 — callers coordinating a shared id space renumber afterwards
-/// (TangoMesh uses a PathIdAllocator).
+/// sequence; only the number of convergence runs changes (max steps + 1
+/// instead of the sum of every direction's).  Path ids are assigned per
+/// direction starting at 1 — callers coordinating a shared id space renumber
+/// afterwards (TangoMesh uses a PathIdAllocator).
 std::vector<DiscoveryResult> discover_paths_batch(
     topo::Topology& topo, const std::vector<DiscoveryRequest>& requests,
     BatchDiscoveryStats* stats = nullptr);

@@ -69,6 +69,8 @@ std::vector<DiscoveryResult> TangoMesh::establish(SteeringMechanism mechanism,
   const std::uint64_t msgs_before = topo.bgp().total_messages();
   const std::uint64_t runs_before = topo.bgp().convergence_runs();
 
+  // Both modes emit placeholder ids 1..k per direction; the allocator below
+  // renumbers them identically.
   std::vector<DiscoveryResult> results;
   if (mode == EstablishMode::interleaved) {
     BatchDiscoveryStats batch_stats;
@@ -76,10 +78,8 @@ std::vector<DiscoveryResult> TangoMesh::establish(SteeringMechanism mechanism,
     stats_.discovery_rounds = batch_stats.rounds;
   } else {
     results.reserve(requests.size());
-    // Placeholder ids (1..k per direction), same as the batch engine emits;
-    // the allocator below renumbers both modes identically.
     for (const DiscoveryRequest& request : requests) {
-      results.push_back(discover_paths(topo, request, 1));
+      results.push_back(discover_paths(topo, request));
     }
   }
   stats_.bgp_messages = topo.bgp().total_messages() - msgs_before;
@@ -137,6 +137,10 @@ void TangoMesh::feedback_tick() {
     std::vector<std::uint8_t> wire;  ///< serialized ReportEnvelope
   };
   const sim::Time now = wan_.now();
+  std::size_t outbound_paths = 0;
+  for (const TangoNode* sender : sites_) {
+    for (const auto& [peer, ids] : sender->peer_paths()) outbound_paths += ids.size();
+  }
   std::vector<PendingReport> batch;
   for (TangoNode* sender : sites_) {
     for (const auto& [peer, ids] : sender->peer_paths()) {
@@ -144,9 +148,16 @@ void TangoMesh::feedback_tick() {
       if (it == by_router_.end()) continue;
       TangoNode* receiver = it->second;
       for (PathId id : ids) {
-        if (auto wire = receiver->build_report_envelope_for(id, now)) {
-          batch.push_back({sender, std::move(*wire)});
+        auto wire = receiver->build_report_envelope_for(id, now);
+        if (!wire) continue;
+        if (options_.suppress_report != nullptr &&
+            options_.suppress_report(options_.suppress_ctx, id, *wire)) {
+          ++reports_suppressed_;
+          continue;
         }
+        // At most one allocation per tick for the batch itself.
+        if (batch.empty()) batch.reserve(outbound_paths);
+        batch.push_back({sender, std::move(*wire)});
       }
     }
   }

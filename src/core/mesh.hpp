@@ -19,13 +19,16 @@
 //
 // At N sites the N*(N-1) discovery directions are independent (disjoint
 // prefix slices, per-announcement steering state), so establish() runs them
-// through a work-queue that interleaves their steps and shares one BGP
-// convergence run per round (EstablishMode::interleaved); the historical
-// one-direction-at-a-time loop survives as EstablishMode::sequential and is
-// the oracle the interleaved engine is tested against.  The recurring
-// feedback/policy work is likewise batched: one mesh-level feedback tick
-// and one policy tick, instead of N*(N-1) + N recurring event-queue
-// lambdas.
+// through the discovery work-queue, which interleaves their steps and shares
+// one BGP convergence run per round (EstablishMode::interleaved).
+// EstablishMode::sequential runs the same engine once per direction; the
+// two agree, which is what makes interleaving safe.
+//
+// The mesh owns the only feedback/policy loop in the code base — a
+// TangoPairing is a two-site mesh.  It is batched: one recurring feedback
+// tick ships every due report of every ordered pair on one delayed event,
+// and one policy tick runs every site's policy, instead of N*(N-1) + N
+// recurring event-queue lambdas.
 //
 // Clock-sync note (paper §3 footnote 1): every measurement the mesh uses
 // compares paths *within one ordered pair* — one sending clock, one
@@ -37,15 +40,33 @@
 
 #include <map>
 
-#include "core/pairing.hpp"
+#include "core/node.hpp"
 #include "core/path_alloc.hpp"
 
 namespace tango::core {
 
+/// Timing and the adversary hook of the feedback/policy loop.
+struct PairingOptions {
+  /// How often each receiver publishes reports to the opposite sender.
+  sim::Time feedback_period = 100 * sim::kMillisecond;
+  /// One-way latency of the control channel carrying a report.
+  sim::Time feedback_delay = 40 * sim::kMillisecond;
+  /// How often each sender re-evaluates its routing policy.
+  sim::Time policy_period = 100 * sim::kMillisecond;
+  /// On-path adversary hook (chaos/tests): called with each serialized
+  /// report before it is shipped; returning true swallows it (selective
+  /// suppression — the sender sees a sequence gap, not a drop counter).
+  /// Raw function pointer + context, like the switch's RouteFn.
+  bool (*suppress_report)(void* ctx, PathId id,
+                          std::span<const std::uint8_t> wire) = nullptr;
+  void* suppress_ctx = nullptr;
+};
+
 /// How establish() runs the N*(N-1) discovery directions.
 enum class EstablishMode : std::uint8_t {
-  /// One direction at a time; every announce/withdraw pays its own BGP
-  /// convergence run.  Historical behaviour, kept as the correctness oracle.
+  /// One direction at a time (a work-queue of one per direction); every
+  /// round pays its own BGP convergence run.  The reference the interleaved
+  /// mode is tested against.
   sequential,
   /// All directions through the discovery work-queue (discover_paths_batch):
   /// one shared convergence run per round.  Identical results and path ids.
@@ -99,7 +120,9 @@ class TangoMesh {
   /// tick (walks every ordered pair, ships all due reports as one delayed
   /// batch) and ONE recurring policy tick, not a lambda per pair.
   void start();
+  /// Stops scheduling further ticks (in-flight reports still land).
   void stop() noexcept { running_ = false; }
+  [[nodiscard]] bool running() const noexcept { return running_; }
 
   [[nodiscard]] std::size_t sites() const noexcept { return sites_.size(); }
   [[nodiscard]] TangoNode& site(std::size_t i) { return *sites_.at(i); }
@@ -108,7 +131,10 @@ class TangoMesh {
   void start_probing(sim::Time period);
   void stop_probing();
 
+  /// Reports the senders accepted (parsed, authenticated, fresh, compliant).
   [[nodiscard]] std::uint64_t reports_delivered() const noexcept { return reports_delivered_; }
+  /// Reports swallowed by the suppress_report hook before shipping.
+  [[nodiscard]] std::uint64_t reports_suppressed() const noexcept { return reports_suppressed_; }
 
   /// Estimated resident bytes of pairing state across every site: registry
   /// entries + reports, tunnel tables, sender/receiver per-path state,
@@ -131,6 +157,7 @@ class TangoMesh {
   bool running_ = false;
   bool established_ = false;
   std::uint64_t reports_delivered_ = 0;
+  std::uint64_t reports_suppressed_ = 0;
 };
 
 }  // namespace tango::core

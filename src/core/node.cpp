@@ -71,11 +71,8 @@ DiscoveryRequest TangoNode::build_discovery_request(
   return request;
 }
 
-DiscoveryResult TangoNode::discover_outbound(TangoNode& peer, PathId first_id,
-                                             SteeringMechanism mechanism,
-                                             const std::vector<net::Ipv6Prefix>* pool_override) {
-  const DiscoveryRequest request = build_discovery_request(peer, mechanism, pool_override);
-  DiscoveryResult result = discover_paths(topo_, request, first_id);
+DiscoveryResult TangoNode::discover_outbound(TangoNode& peer, SteeringMechanism mechanism) {
+  DiscoveryResult result = discover_paths(topo_, build_discovery_request(peer, mechanism));
   install_outbound(peer, result);
   return result;
 }
@@ -115,6 +112,13 @@ void TangoNode::install_outbound(TangoNode& peer, const DiscoveryResult& result,
     // probe's inner packet by the same index).
     peer_host_prefixes_.push_back(peer.config_.host_prefix);
   } else {
+    // A shrinking re-discovery must not leave the vanished paths registered
+    // or tunnelled.
+    for (PathId old : existing->second) {
+      if (std::find(ids.begin(), ids.end(), old) != ids.end()) continue;
+      registry_.remove(old);
+      switch_.tunnels().remove(old);
+    }
     existing->second = std::move(ids);
   }
 }

@@ -60,25 +60,19 @@ class TangoNode {
   /// Discovers the wide-area paths for traffic from this node to `peer`
   /// (the peer announces its prefix pool; we observe), installs one tunnel
   /// per path, steers the peer's host prefix into Tango, syncs WAN FIBs and
-  /// activates the first (BGP-default) path for that peer.
-  ///
-  /// `first_id` makes path ids globally unique across a multi-peer
-  /// cooperation set (a TangoMesh assigns disjoint ranges per ordered pair;
-  /// both endpoints cooperate, so coordinated ids live in the static
-  /// config and the wire format stays minimal).  `mechanism` selects
+  /// activates the first (BGP-default) path for that peer.  Path ids run
+  /// 1..k over the peer's whole prefix pool.  `mechanism` selects
   /// community-based steering (the paper's prototype) or AS-path poisoning.
-  /// `pool_override` restricts which of the peer's prefixes this direction
-  /// may consume (a TangoMesh slices each site's pool across its inbound
-  /// pairs so the per-pair suppression sets never collide on one prefix).
   DiscoveryResult discover_outbound(
-      TangoNode& peer, PathId first_id = 1,
-      SteeringMechanism mechanism = SteeringMechanism::communities,
-      const std::vector<net::Ipv6Prefix>* pool_override = nullptr);
+      TangoNode& peer, SteeringMechanism mechanism = SteeringMechanism::communities);
 
   /// The control-plane request discover_outbound would run, without running
   /// it.  A TangoMesh builds one request per ordered pair and feeds them all
-  /// to the interleaved work-queue engine (discover_paths_batch), then hands
-  /// each result back through install_outbound().
+  /// to the discovery work-queue (discover_paths_batch), then hands each
+  /// result back through install_outbound().  `pool_override` restricts
+  /// which of the peer's prefixes this direction may consume (the mesh
+  /// slices each site's pool across its inbound pairs so the per-pair
+  /// suppression sets never collide on one prefix).
   [[nodiscard]] DiscoveryRequest build_discovery_request(
       const TangoNode& peer, SteeringMechanism mechanism = SteeringMechanism::communities,
       const std::vector<net::Ipv6Prefix>* pool_override = nullptr) const;
@@ -86,7 +80,9 @@ class TangoNode {
   /// Installs an already-discovered result toward `peer`: tunnels, registry
   /// entries, health tracking, host-prefix steering and the initial active
   /// path.  Path ids in `result` must already be final (a TangoMesh
-  /// renumbers them from its allocator first).  With `sync_fibs` false the
+  /// renumbers them from its allocator first).  A re-discovery toward the
+  /// same peer replaces its path set: ids the new result lacks leave the
+  /// registry and the tunnel table.  With `sync_fibs` false the
   /// WAN FIB refresh is the caller's responsibility — a mesh installing
   /// thousands of directions syncs once at the end instead of per pair.
   void install_outbound(TangoNode& peer, const DiscoveryResult& result, bool sync_fibs = true);

@@ -134,14 +134,6 @@ TEST(Discovery, PoolExhaustionStopsEarly) {
   EXPECT_EQ(r.paths[1].label, "Telia");
 }
 
-TEST(Discovery, FirstIdOffsetsPathIds) {
-  topo::VultrScenario s = topo::make_vultr_scenario();
-  DiscoveryResult r = discover_paths(s.topo, la_to_ny_request(s), /*first_id=*/10);
-  ASSERT_EQ(r.paths.size(), 4u);
-  EXPECT_EQ(r.paths[0].id, 10);
-  EXPECT_EQ(r.paths[3].id, 13);
-}
-
 TEST(Discovery, SingleHomedSingleTransitFindsOnePath) {
   // Minimal world: origin -> provider -> observer.  One path, then
   // suppression kills reachability.

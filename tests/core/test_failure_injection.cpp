@@ -83,12 +83,19 @@ TEST_F(FailureTest, SessionFlapHealsAfterRediscovery) {
   EXPECT_EQ(after.paths[0].label, "NTT");
   EXPECT_EQ(after.paths[1].label, "Telia");
   EXPECT_EQ(after.paths[2].label, "NTT Cogent");
+  // The vanished fourth path leaves the registry and the tunnel table too.
+  EXPECT_EQ(la_.paths_to(kServerNy).size(), 3u);
+  EXPECT_EQ(la_.registry().size(), 3u);
+  EXPECT_EQ(la_.dp().tunnels().size(), 3u);
 
   // Session returns; discovery finds all four again.
   s_.topo.bgp().add_transit(kGtt, kVultrNy, 110);
   wan_.sync_fibs();
   DiscoveryResult healed = la_.discover_outbound(ny_);
   EXPECT_EQ(healed.paths.size(), 4u);
+  EXPECT_EQ(la_.paths_to(kServerNy).size(), 4u);
+  EXPECT_EQ(la_.registry().size(), 4u);
+  EXPECT_EQ(la_.dp().tunnels().size(), 4u);
 }
 
 TEST_F(FailureTest, TrackersSeeInjectedLossAndReordering) {

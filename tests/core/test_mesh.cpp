@@ -165,6 +165,33 @@ TEST_F(MeshTest, PerPeerPoliciesConvergeIndependently) {
   }
 }
 
+TEST_F(MeshTest, SuppressionHookSwallowsReportsAsSequenceGaps) {
+  PairingOptions options;
+  struct Ctx {
+    std::uint64_t count = 0;
+  } ctx;
+  options.suppress_report = [](void* c, PathId, std::span<const std::uint8_t>) {
+    return ++static_cast<Ctx*>(c)->count % 3 == 0;  // swallow every third report
+  };
+  options.suppress_ctx = &ctx;
+  TangoMesh mesh{wan_, options};
+  for (TangoNode* node : {&la_, &ny_, &ch_}) mesh.add_site(*node);
+  mesh.establish();
+  mesh.start();
+  mesh.start_probing(20 * sim::kMillisecond);
+  wan_.events().run_until(3 * sim::kSecond);
+  mesh.stop();
+  mesh.stop_probing();
+  wan_.events().run_all();
+
+  EXPECT_GT(mesh.reports_suppressed(), 0u);
+  std::uint64_t gaps = 0;
+  for (const TangoNode* node : {&la_, &ny_, &ch_}) gaps += node->report_gaps();
+  EXPECT_GT(gaps, 0u) << "suppression must surface as sequence gaps";
+  EXPECT_LE(gaps, mesh.reports_suppressed())
+      << "every gap is a suppressed report (the tail can hide at most one per path)";
+}
+
 TEST_F(MeshTest, AddSiteAfterEstablishThrows) {
   mesh_.establish();
   TangoNode extra{s_.topo, wan_, site_config(s_.ch)};  // would double-attach anyway

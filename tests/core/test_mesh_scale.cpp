@@ -2,8 +2,8 @@
 // Gao–Rexford topology, 56 ordered pairs.  Verifies the properties the
 // bench (E15) gates on at 64 sites: compact disjoint path ids from the
 // mesh allocator, per-pair feedback delivery, and — the load-bearing
-// one — that the interleaved discovery work-queue produces results
-// identical to running the historical sequential loop per direction.
+// one — that one discovery work-queue over every direction produces
+// results identical to one work-queue per direction.
 #include <gtest/gtest.h>
 
 #include <memory>

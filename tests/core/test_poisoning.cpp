@@ -136,7 +136,7 @@ TEST(PoisoningDiscovery, NodeLevelMechanismSelection) {
   TangoNode la{s.topo, wan, la_cfg};
   TangoNode ny{s.topo, wan, ny_cfg};
 
-  DiscoveryResult r = la.discover_outbound(ny, 1, SteeringMechanism::poisoning);
+  DiscoveryResult r = la.discover_outbound(ny, SteeringMechanism::poisoning);
   EXPECT_EQ(r.paths.size(), 4u);
   EXPECT_EQ(la.dp().tunnels().size(), 4u);
 }
